@@ -197,18 +197,33 @@ def test_canonical_float_formatting():
     assert "0.30000000000000004" in out   # 17 significant digits
 
 
-def test_checkpoint_restart_bitwise(tmp_path, p3_1d):
+def _ode_trace_1d():
+    mp = ql.ModelParams(p=3.0, n=1)
     grid = ql.GridSpec(origin=[-1.0], extent=[2.0], cells=[64],
                        time_start=0.0, time_end=1.05)
     init = ql.field_from_function(
-        p3_1d, grid, [0.0],
-        lambda xs, t: np.full(xs.shape[0], ql.ode_solution(p3_1d, -1.0)))
+        mp, grid, [0.0], lambda xs, t: np.full(xs.shape[0], ql.ode_solution(mp, -1.0)))
     bd = ql.BoundaryData(kind="analytic_trace",
-                         value_fn=lambda xs, t: np.full(xs.shape[0],
-                                                        ql.ode_solution(p3_1d, t - 1.0)))
+                         value_fn=lambda xs, t: np.full(xs.shape[0], ql.ode_solution(mp, t - 1.0)))
+    return mp, init, bd, 4e-3
+
+
+def _dip_2d():
+    mp = ql.ModelParams(p=3.0, n=2)
+    grid = ql.GridSpec(origin=[-1.0, -1.0], extent=[2.0, 2.0], cells=[24, 24],
+                       time_start=0.0, time_end=1.0)
+    init = ql.field_from_function(
+        mp, grid, [0.0], lambda xs, t: 1.0 - 0.5 * np.exp(-np.sum(xs ** 2, axis=-1) / 0.25))
+    return mp, init, ql.BoundaryData(kind="constant", value=1.0), 1e-3
+
+
+@pytest.mark.parametrize("case", [_ode_trace_1d, _dip_2d], ids=["ode_trace_1d", "dip_2d"])
+def test_checkpoint_restart_bitwise(tmp_path, case):
+    mp, init, bd, dt_initial = case()
+    grid = init.grid
 
     def run(initial, steps):
-        cfg = ql.SolverConfig(dt_initial=4e-3, safety=0.2, max_steps=steps)
+        cfg = ql.SolverConfig(dt_initial=dt_initial, safety=0.2, max_steps=steps)
         try:
             field, _ = ql.solve_until_quench(initial, bd, cfg)
             return field
@@ -224,7 +239,7 @@ def test_checkpoint_restart_bitwise(tmp_path, p3_1d):
     loaded = ql.load_field(path)
     resume_grid = ql.GridSpec(origin=grid.origin, extent=grid.extent, cells=grid.cells,
                               time_start=float(loaded.times[-1]), time_end=grid.time_end)
-    resumed_init = ql.SpaceTimeField(p3_1d, resume_grid, [loaded.times[-1]],
+    resumed_init = ql.SpaceTimeField(mp, resume_grid, [loaded.times[-1]],
                                      loaded.values[-1:].copy())
     resumed = run(resumed_init, 40)
     # the scheme has no hidden state: the final slab agrees bitwise

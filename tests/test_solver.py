@@ -161,6 +161,42 @@ def test_convergence_under_refinement():
     assert sup_errs[0] / sup_errs[1] >= 3.0
 
 
+def test_radial_steady_3d_spatial_order():
+    # 3D radial steady state held by its own trace: the run drifts to the
+    # discrete steady state, which sits O(h^2) from the closed form
+    mp = ql.ModelParams(p=3.0, n=3)
+    exact = lambda xs, t: np.atleast_1d(ql.radial_steady(mp, xs))
+    bd = ql.BoundaryData(kind="analytic_trace", value_fn=exact)
+    errs = []
+    for cells in (8, 16, 32):
+        grid = ql.GridSpec(origin=[0.5] * 3, extent=[1.0] * 3, cells=[cells] * 3,
+                           time_start=0.0, time_end=0.1)
+        init = ql.field_from_function(mp, grid, [0.0], exact)
+        field, _ = ql.solve_until_quench(init, bd, ql.SolverConfig(dt_initial=1e-3))
+        errs.append(np.abs(field.values[-1] - init.values[0]).max())
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.all(orders >= 1.8), orders
+
+
+@pytest.mark.parametrize("n, cells", [(2, (32, 64, 128)), (3, (16, 32, 64))], ids=["2d", "3d"])
+def test_dip_quench_time_self_convergence(n, cells):
+    # Richardson ratio of the quench time over h, h/2, h/4: 4 for a second
+    # order operator (the dt law is h-independent, so time error cancels)
+    mp = ql.ModelParams(p=3.0, n=n)
+    bd = ql.BoundaryData(kind="constant", value=1.0)
+    cfg = ql.SolverConfig(dt_initial=1e-2, safety=0.1, store_stride=10 ** 6)
+    times = []
+    for c in cells:
+        grid = ql.GridSpec(origin=[-1.0] * n, extent=[2.0] * n, cells=[c] * n,
+                           time_start=0.0, time_end=1.0)
+        init = ql.field_from_function(
+            mp, grid, [0.0], lambda xs, t: 1.0 - 0.5 * np.exp(-np.sum(xs ** 2, axis=-1) / 0.25))
+        _, rep = ql.solve_until_quench(init, bd, cfg)
+        times.append(rep.quench_time)
+    ratio = (times[0] - times[1]) / (times[1] - times[2])
+    assert 3.0 <= ratio <= 5.5, (times, ratio)
+
+
 def test_comparison_guard_examples():
     # completed quench run: guard below discretization tolerance
     mp, init, bd, cfg = ode_setup()
@@ -200,3 +236,74 @@ def test_interior_quench_localizes():
     assert rep.quench_time is not None
     assert len(rep.quench_points) == 1
     assert rep.quench_points[0].x[0] == pytest.approx(0.0, abs=field.h)
+
+
+@pytest.mark.parametrize("cells", (1, 2, 3))
+def test_periodic_collapse_on_few_cells(cells):
+    # space-constant periodic data follows the collapse ODE whatever the
+    # cell count: the stencil must annihilate constants on 1- and 2-cell axes
+    mp = ql.ModelParams(p=3.0, n=1)
+    grid = ql.GridSpec(origin=[0.0], extent=[1.0], cells=[cells],
+                       time_start=0.0, time_end=1.05)
+    init = ql.field_from_function(mp, grid, [0.0],
+                                  lambda xs, t: np.full(xs.shape[0], ql.ode_solution(mp, -1.0)))
+    _, rep = ql.solve_until_quench(init, ql.BoundaryData(kind="periodic"),
+                                   ql.SolverConfig(dt_initial=2e-3))
+    assert rep.quench_time == pytest.approx(1.0, abs=1e-3)
+
+
+def _dense_laplacian(shape, h, periodic):
+    """Assembled (2n+1)-point Laplacian; Dirichlet boundary rows are left empty."""
+    size = int(np.prod(shape))
+    lap = np.zeros((size, size))
+    for idx in np.ndindex(*shape):
+        if not periodic and any(i in (0, m - 1) for i, m in zip(idx, shape)):
+            continue
+        row = np.ravel_multi_index(idx, shape)
+        lap[row, row] -= 2.0 * len(shape) / h ** 2
+        for k, m in enumerate(shape):
+            for s in (-1, 1):
+                nb = list(idx)
+                nb[k] = (nb[k] + s) % m
+                lap[row, np.ravel_multi_index(nb, shape)] += 1.0 / h ** 2
+    return lap
+
+
+@pytest.mark.parametrize("dt", (1e-4, 3.7e-3, 5e-2))
+@pytest.mark.parametrize("kind, cells", [
+    ("analytic_trace", [24]), ("analytic_trace", [12, 16]), ("analytic_trace", [12, 16, 8]),
+    ("periodic", [24]), ("periodic", [12, 16]), ("periodic", [12, 16, 8]),
+    ("analytic_trace", [1, 4]), ("periodic", [1, 2, 3]),
+], ids=["dirichlet-1d", "dirichlet-2d", "dirichlet-3d", "periodic-1d", "periodic-2d",
+        "periodic-3d", "dirichlet-1x4", "periodic-1x2x3"])
+def test_step_matches_dense_reference(kind, cells, dt):
+    # the spectral step against a dense solve of the same scheme: predictor
+    # on the assembled stencil, pinned Dirichlet rows, np.linalg.solve
+    n, h = len(cells), 1.0 / 16
+    mp = ql.ModelParams(p=3.0, n=n)
+    grid = ql.GridSpec(origin=[0.0] * n, extent=[h * c for c in cells], cells=cells,
+                       time_start=0.0, time_end=1.0)
+    periodic = kind == "periodic"
+    shape = tuple(cells) if periodic else grid.node_shape
+    work = 1.0 + 0.5 * np.random.default_rng(len(cells)).random(shape)
+    values = np.pad(work, [(0, 1)] * n, mode="wrap") if periodic else work
+    fn = lambda xs, t: 1.0 + 0.3 * np.sin(3.0 * xs.sum(axis=-1)) + t
+    bd = ql.BoundaryData(kind=kind, value_fn=None if periodic else fn)
+    cfg = ql.SolverConfig()
+    out = step(values, 0.0, dt, mp, _Workspace(grid, periodic), bd, cfg)
+
+    lap = _dense_laplacian(shape, h, periodic)
+    f = lambda u: ql.regularized_nonlinearity(mp, cfg.epsilon_reg, u)
+    u = work.ravel()
+    rhs = u - dt * f(u + 0.5 * dt * (lap @ u - f(u)))
+    if not periodic:
+        pinned = np.ones(shape, dtype=bool)
+        pinned[tuple(slice(1, -1) for _ in range(n))] = False
+        axes = np.meshgrid(*[grid.axis_nodes(k) for k in range(n)], indexing="ij")
+        xs = np.stack([a.ravel() for a in axes], axis=-1)
+        rhs[pinned.ravel()] = fn(xs[pinned.ravel()], dt)
+    ref = np.linalg.solve(np.eye(u.size) - dt * lap, rhs).reshape(shape)
+    got = out[tuple(slice(0, m) for m in shape)]
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    if periodic:
+        assert np.array_equal(out, np.pad(got, [(0, 1)] * n, mode="wrap"))
