@@ -1,4 +1,4 @@
-"""Parabolic space-time geometry: points, distance, cylinders, dilations."""
+"""Parabolic space-time geometry: points, distance, cylinders."""
 
 from dataclasses import dataclass
 from typing import Tuple
@@ -64,9 +64,3 @@ class ParabolicCylinder:
         # backward cylinders are half open at the past end, closed at the top
         in_time = (ts > lo) & (ts <= hi)
         return in_ball & in_time
-
-
-def dilate(X: ParabolicPoint, base: ParabolicPoint, lam: float) -> ParabolicPoint:
-    """Parabolic dilation D_{X0,lam}(X) = ((x - x0)/lam, (t - t0)/lam^2)."""
-    x = tuple((np.asarray(X.x) - np.asarray(base.x)) / lam)
-    return ParabolicPoint(x, (X.t - base.t) / lam ** 2)

@@ -127,7 +127,7 @@ def _gaussian_weights(field: SpaceTimeField, x0: ParabolicPoint, s: float,
     cells = slab_cells(field, t_eval, box=(tuple(lo), tuple(hi)))
     if cells.u.size == 0:
         raise DomainError("weighted integral window misses the spatial domain")
-    pts = cells.points().reshape(cells.u.shape + (n,))
+    pts = cells.points()
     y2 = np.sum((pts - c) ** 2, axis=-1)
     G = (4.0 * np.pi * s) ** (-n / 2.0) * np.exp(-y2 / (4.0 * s))
     G = np.where(y2 <= radius ** 2, G, 0.0)

@@ -21,7 +21,7 @@ from .field import SpaceTimeField, field_from_function
 from .geometry import ParabolicCylinder, ParabolicPoint
 from .monotonicity import (SlackModel, WeightSpec, almgren_scan, density_estimate,
                            log_h_identity_error)
-from .qlf import load_field, save_field
+from .qlf import atomic_write, load_field, save_field
 from .residuals import two_valued_caloric_check
 from .rupture import (apriori_scaling_check, holder_seminorm, parabolic_box_dimension,
                       rupture_set, rupture_threshold, slice_dimension)
@@ -103,18 +103,11 @@ def emit_report(report: Report, format: str = "json") -> bytes:
     raise UsageError(f"unknown report format {format!r} (json|text)")
 
 
-def _atomic_write(path: str, data: bytes):
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
 def _write_csv(path: str, header: str, rows: List[Tuple]) -> None:
     lines = [header]
     for row in rows:
         lines.append(",".join(_fmt_float(v) if isinstance(v, float) else str(v) for v in row))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 # -- field acquisition -----------------------------------------------------------
@@ -442,11 +435,13 @@ def run_pipeline(config: RunConfig, raise_errors: bool = True) -> Report:
         if exc is not None and first_error is None:
             first_error = (index, exc)
 
-    _atomic_write(os.path.join(config.output_dir, "report.json"),
-                  emit_report(report, "json"))
-    _atomic_write(os.path.join(config.output_dir, "report.txt"),
-                  emit_report(report, "text"))
+    atomic_write(os.path.join(config.output_dir, "report.json"),
+                 emit_report(report, "json"))
+    atomic_write(os.path.join(config.output_dir, "report.txt"),
+                 emit_report(report, "text"))
     if first_error is not None and raise_errors:
         index, exc = first_error
-        raise type(exc)(f"analysis {index} failed: {exc}") from exc
+        # the original object keeps its payload (BudgetError.partial, ...)
+        exc.args = (f"analysis {index} failed: {exc}",) + exc.args[1:]
+        raise exc
     return report

@@ -13,7 +13,7 @@ is not persisted (loaded fields come back as analytic snapshots).
 
 import os
 import struct
-import tempfile
+import uuid
 import zlib
 
 import numpy as np
@@ -38,22 +38,29 @@ def _payload(field: SpaceTimeField) -> bytes:
     return b"".join(parts)
 
 
-def save_field(field: SpaceTimeField, path) -> None:
-    """Write atomically: temp file in the target directory, then rename."""
-    payload = _payload(field)
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    blob = MAGIC + payload + struct.pack("<I", crc)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".qlf.tmp")
+def atomic_write(path, data: bytes) -> None:
+    """Write atomically: a uniquely named temp file beside path, then rename.
+
+    The temp file is created exclusively ("x") with the permissions the umask
+    gives any new file, so concurrent writers never share it.
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+        with open(tmp, "xb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_field(field: SpaceTimeField, path) -> None:
+    """Write a QLF1 checkpoint atomically."""
+    payload = _payload(field)
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    atomic_write(path, MAGIC + payload + struct.pack("<I", crc))
 
 
 def load_field(path) -> SpaceTimeField:

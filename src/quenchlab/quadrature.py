@@ -4,7 +4,9 @@ All analysis functionals integrate with the midpoint rule per (space-time)
 cell.  Values and gradients at cell centers are those of the multilinear
 interpolant, so fields that are polynomial of degree one per cell and axis
 (|x1|, |x1 x2| on aligned grids, ...) are integrated without interpolation
-error in u itself.
+error in u itself.  Every space-time integral (weak forms, scaling laws)
+goes through `integrate`, which streams `spacetime_blocks` one stored time
+interval at a time.
 """
 
 from dataclasses import dataclass
@@ -75,8 +77,8 @@ class SlabCells:
     volume: float                     # cell volume h^n
 
     def points(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.centers, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        """Cell-center coordinates, shape u.shape + (n,)."""
+        return np.stack(np.meshgrid(*self.centers, indexing="ij"), axis=-1)
 
 
 def slab_cells(field: SpaceTimeField, t: float, box=None) -> SlabCells:
@@ -158,6 +160,44 @@ def spacetime_blocks(field: SpaceTimeField, t_lo=None, t_hi=None,
         )
 
 
-def center_mesh(centers: Tuple[np.ndarray, ...]) -> List[np.ndarray]:
-    """Broadcastable coordinate arrays for a block's cell centers."""
-    return list(np.meshgrid(*centers, indexing="ij"))
+@dataclass
+class Integral:
+    """Midpoint-rule sums of one integrand over a space-time window."""
+
+    value: float        # sum over cells of w * (sum of the terms)
+    scale: float        # sum over cells of w * (sum of |term|)
+    cells: int          # space-time cells visited
+    measure: float      # weighted measure of the support
+    excluded: float     # weighted measure of the support where u < floor
+
+    @property
+    def excluded_fraction(self) -> float:
+        return self.excluded / self.measure if self.measure > 0 else 0.0
+
+
+def integrate(field: SpaceTimeField, integrand, t_lo=None, t_hi=None, box=None,
+              floor: Optional[float] = None) -> Integral:
+    """Integrate over the space-time cells of `spacetime_blocks`, block by block.
+
+    integrand(blk, pts, ok) returns (terms, support): a list of signed arrays
+    over the block's cells and a boolean support mask (None: every cell).  pts
+    holds the cell centers with shape blk.u.shape + (n,); ok is u >= floor,
+    or None without a floor.  Every cell carries the weight w = dt * h^n.  The
+    excluded measure counts support cells below the floor.
+    """
+    value = scale = measure = excluded = 0.0
+    cells = 0
+    pts = None
+    for blk in spacetime_blocks(field, t_lo, t_hi, box=box):
+        if pts is None:   # every block of one window shares its cell centers
+            pts = np.stack(np.meshgrid(*blk.centers, indexing="ij"), axis=-1)
+        ok = None if floor is None else blk.u >= floor
+        terms, support = integrand(blk, pts, ok)
+        w = blk.dt * blk.volume
+        value += w * float(sum(terms).sum())
+        scale += w * float(sum(np.abs(t) for t in terms).sum())
+        cells += int(blk.u.size)
+        measure += w * (blk.u.size if support is None else float(support.sum()))
+        if ok is not None:
+            excluded += w * float((~ok if support is None else support & ~ok).sum())
+    return Integral(value, scale, cells, measure, excluded)

@@ -17,7 +17,7 @@ from .exact import BlowupSpec, rescale
 from .field import SpaceTimeField
 from .geometry import ParabolicPoint
 from .grid import GridSpec
-from .quadrature import center_mesh, spacetime_blocks
+from .quadrature import integrate
 
 _REFINE_CELLS = 4
 _BLOCK = 1024
@@ -307,34 +307,28 @@ def apriori_scaling_check(field: SpaceTimeField, X0: ParabolicPoint, quantity: s
     floor = field.h ** field.params.alpha if u_floor is None else u_floor
     c = np.asarray(X0.x)
 
+    def integrand(blk, pts, ok):
+        inside = np.sum((pts - c) ** 2, axis=-1) <= rad ** 2
+        if quantity == "mass":
+            return [blk.u * inside], inside
+        safe_u = np.where(ok, blk.u, 1.0)
+        if quantity == "u_inv_p":
+            density = np.where(ok, safe_u ** (-p), 0.0)
+        else:
+            density = sum(gk ** 2 for gk in blk.grad) + np.where(ok, safe_u ** (1.0 - p), 0.0)
+        return [density * inside], inside
+
     vals = []
     for rad in r:
         box = (tuple(c - rad), tuple(c + rad))
-        acc = 0.0
-        total_w = excl_w = 0.0
-        for blk in spacetime_blocks(field, X0.t - rad ** 2, X0.t, box=box):
-            pts = np.stack(center_mesh(blk.centers), axis=-1)
-            inside = np.sum((pts - c) ** 2, axis=-1) <= rad ** 2
-            w = blk.dt * blk.volume
-            if quantity == "mass":
-                acc += w * float((blk.u * inside).sum())
-                continue
-            ok = blk.u >= floor
-            safe_u = np.where(ok, blk.u, 1.0)
-            total_w += w * float(inside.sum())
-            excl_w += w * float((inside & ~ok).sum())
-            if quantity == "u_inv_p":
-                integrand = np.where(ok, safe_u ** (-p), 0.0)
-            else:
-                grad2 = sum(gk ** 2 for gk in blk.grad)
-                integrand = grad2 + np.where(ok, safe_u ** (1.0 - p), 0.0)
-            acc += w * float((integrand * inside).sum())
-        if quantity != "mass" and total_w > 0 and excl_w / total_w > 0.01:
+        res = integrate(field, integrand, X0.t - rad ** 2, X0.t, box=box,
+                        floor=None if quantity == "mass" else floor)
+        if res.excluded_fraction > 0.01:
             raise AccuracyError(
-                f"singular cells carry {excl_w / total_w:.1%} of Q_r at r={rad:g}")
-        if acc <= 0:
+                f"singular cells carry {res.excluded_fraction:.1%} of Q_r at r={rad:g}")
+        if res.value <= 0:
             raise DegenerateFitError(f"integral vanished at r={rad:g}", radii=r)
-        vals.append(acc)
+        vals.append(res.value)
     vals = np.asarray(vals)
     slope, rms = _loglog_fit(r, vals, (0, len(r)))
     return DimensionFit(r, vals, max(slope, 0.0), (0, len(r)), rms)

@@ -5,7 +5,7 @@ import pytest
 
 import quenchlab as ql
 from quenchlab.cli import main as cli_main
-from quenchlab.errors import BudgetError
+from quenchlab.errors import BudgetError, DegenerateFitError
 
 SYNTH = """
 [run]
@@ -129,6 +129,35 @@ s_max = 0.1
     assert (out / "report.json").exists()   # partial results written
     with pytest.raises(Exception, match="analysis 3"):
         ql.run_pipeline(cfg)
+
+
+def test_pipeline_reraise_keeps_error_payload(tmp_path):
+    # u = max(x1, 0) vanishes on every cylinder around x1 = -4: no mass at all
+    text = SYNTH.split("[analysis.freq]")[0].format(out=tmp_path / "deg").replace(
+        "kind = abs_x1", "kind = relu_x1") + """
+[analysis.mass]
+op = apriori_scaling
+point = [-4.0, 0.5]
+quantity = "mass"
+radii = [1.0, 0.5]
+"""
+    with pytest.raises(DegenerateFitError, match="analysis 1 failed") as info:
+        ql.run_pipeline(ql.parse_config_text(text))
+    assert info.value.radii.tolist() == [1.0, 0.5]
+
+
+def test_pipeline_writes_beside_stale_temp_names(tmp_path):
+    out = tmp_path / "busy"
+    (out / "report.json.tmp").mkdir(parents=True)
+    ql.run_pipeline(ql.parse_config_text(SYNTH.split("[analysis.freq]")[0].format(out=out)))
+    assert json.loads((out / "report.json").read_text())["analyses"] == []
+    assert sorted(p.name for p in out.iterdir()) == ["field.qlf", "report.json",
+                                                     "report.json.tmp", "report.txt"]
+    # outputs get the permissions of any new file, not a private temp file's
+    probe = tmp_path / "probe"
+    probe.write_bytes(b"")
+    for name in ("report.json", "field.qlf"):
+        assert (out / name).stat().st_mode == probe.stat().st_mode
 
 
 DENSITY = """

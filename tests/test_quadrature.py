@@ -1,0 +1,101 @@
+import numpy as np
+import pytest
+
+import quenchlab as ql
+from quenchlab.quadrature import integrate
+
+
+def constant_field(value, times):
+    mp = ql.ModelParams(p=3.0, n=2)
+    grid = ql.GridSpec(origin=[-1.0, -1.0], extent=[2.0, 2.0], cells=[16, 16],
+                       time_start=times[0], time_end=times[-1])
+    return ql.field_from_function(mp, grid, times, lambda xs, t: np.full(xs.shape[0], value))
+
+
+def test_integrate_sums_terms_weights_and_support():
+    f = constant_field(0.5, [0.0, 0.1, 1.0])
+    res = integrate(f, lambda blk, pts, ok: ([blk.u, -2.0 * blk.u], None))
+    # value sums signed terms, scale their magnitudes, over |box| x duration = 4
+    assert res.value == pytest.approx(-2.0, rel=1e-14)
+    assert res.scale == pytest.approx(6.0, rel=1e-14)
+    assert res.cells == 2 * 16 * 16
+    assert res.measure == pytest.approx(4.0, rel=1e-14)
+    assert res.excluded == 0.0 and res.excluded_fraction == 0.0
+
+    def left_half(blk, pts, ok):
+        return [blk.u], pts[..., 0] < 0.0
+
+    below = integrate(f, left_half, 0.05, 1.0, box=((-1.0, -1.0), (1.0, 0.0)), floor=1.0)
+    assert below.measure == pytest.approx(0.95, rel=1e-14)
+    assert below.excluded_fraction == 1.0
+    assert integrate(f, left_half, floor=0.25).excluded_fraction == 0.0
+
+
+# Reports of two_valued_caloric_check and apriori_scaling_check recorded before
+# these integrals moved onto `integrate`; the kernel must reproduce them bit
+# for bit: (value, scale, cells) per condition, the integral ladder per quantity.
+TWO_VALUED = {
+    "abs_x1x2": {
+        "i": (5.328125, 8.0, 8192),
+        "ii": (-0.3687653710031619, 11.180642479045495, 2048),
+        "iii": (-0.0001251121151971562, 0.02244345298901796, 845),
+        "iv": (0.0016869025576282028, 0.24685910960230195, 1536),
+        "v": (0.024805050156479734, 0.027103370837404696, 845),
+    },
+    "breathing": {
+        "i": (16.144948462730166, 8.0, 16384),
+        "ii": (-0.5988403261733409, 16.107084598145004, 3584),
+        "iii": (-0.0025114930990526975, 0.051339697759455905, 1521),
+        "iv": (0.0073271241018878506, 0.46519239778908167, 2560),
+        "v": (-0.026497875707833227, 0.16793282068675755, 1521),
+    },
+}
+
+APRIORI = {
+    "u_inv_p": [0.11665322305217876, 0.04613326905230159, 0.018956809390338218,
+                0.007306969890119633, 0.0028697834961475977],
+    "energy": [0.10210393552608207, 0.03513147071446242, 0.013081821207258497,
+               0.004541262010937716, 0.0016641610923469226],
+    "mass": [0.007249843818559629, 0.0013850328667418148, 0.00032067291741077575,
+             6.12195771917102e-05, 1.276659587115936e-05],
+}
+
+
+def pinned_field(name):
+    mp = ql.ModelParams(p=3.0, n=2)
+    grid = ql.GridSpec(origin=[-1.0, -1.0], extent=[2.0, 2.0], cells=[32, 32],
+                       time_start=-1.0, time_end=1.0)
+    if name == "abs_x1x2":
+        return ql.profile_field(mp, grid, np.linspace(-1.0, 1.0, 9), "abs_x1x2")
+    # time-dependent, so the u_t terms of (iii)-(v) are pinned too
+    return ql.field_from_function(
+        mp, grid, np.linspace(-1.0, 1.0, 17),
+        lambda xs, t: (np.abs(xs[:, 0] * xs[:, 1]) * (1.3 + np.sin(2 * t))
+                       + 0.1 * (xs[:, 0] ** 2 + t) ** 2))
+
+
+@pytest.mark.parametrize("name", sorted(TWO_VALUED))
+def test_two_valued_reports_bitwise(name):
+    f = pinned_field(name)
+    bump = ql.SpaceTimeBump(space=ql.CutoffSpec((0.0, 0.0), 0.25, 0.5),
+                            time=ql.TimeWindow(center=0.0, inner=0.3, outer=0.6))
+    ys = [ql.TestVectorField(kind="coordinate_bump", bump=bump, axis=k) for k in range(2)]
+    ys.append(ql.TestVectorField(kind="radial_bump", bump=bump))
+    # off centre and off the stored times, so clipped blocks enter (iii) and (v)
+    off = ql.SpaceTimeBump(space=ql.CutoffSpec((0.1, 0.1), 0.2, 0.4),
+                           time=ql.TimeWindow(center=0.1, inner=0.2, outer=0.5))
+    reports = ql.two_valued_caloric_check(f, [bump, off], ys)
+    got = {k: (r.value, r.scale, r.quadrature_cells) for k, r in reports.items()}
+    assert got == TWO_VALUED[name]
+
+
+def test_apriori_ladders_bitwise():
+    mp = ql.ModelParams(p=3.0, n=2)
+    grid = ql.GridSpec(origin=[-1.0, -1.0], extent=[2.0, 2.0], cells=[64, 64],
+                       time_start=-0.25, time_end=-1e-5)
+    f = ql.radial_field(mp, grid, ql.geometric_times(-0.25, -1e-5, 0.7))
+    x0 = ql.ParabolicPoint((0.0, 0.0), -1e-5)
+    for q, ladder in APRIORI.items():
+        fit = ql.apriori_scaling_check(f, x0, q, [0.25, 0.177, 0.125, 0.0884, 0.0625],
+                                       u_floor=1e-4)
+        assert fit.counts.tolist() == ladder, q

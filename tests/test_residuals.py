@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 import quenchlab as ql
 from quenchlab.bumps import bump_profile, bump_profile_d1, bump_profile_d2
-from quenchlab.errors import DomainError, UsageError
+from quenchlab.errors import DomainError, SingularIntegrandError, UsageError
 
 
 def profile(name, n=1, cells=256, L=1.0, exponent=None, ntimes=9):
@@ -157,6 +157,34 @@ def test_stationary_refinement_off_singularity(p3_2d):
     assert rels[0] / rels[1] >= 3.0
 
 
+def test_excluded_fraction_is_measure_weighted(p3_1d):
+    # u vanishes over the short first interval (dt = 0.1) and is positive
+    # over the long second one (dt = 1.9): a tenth of a cell count, but only
+    # 0.1 / 2.0 of the space-time measure, sits below the floor
+    grid = ql.GridSpec(origin=[-1.0], extent=[2.0], cells=[64], time_start=-1.0, time_end=1.0)
+    f = ql.field_from_function(p3_1d, grid, [-1.0, -0.9, 1.0],
+                               lambda xs, t: np.full(xs.shape[0], 1.0 if t > 0 else 0.0))
+    bump = ql.SpaceTimeBump(space=ql.CutoffSpec((0.0,), 0.25, 0.5),
+                            time=ql.TimeWindow(center=0.0, inner=0.5, outer=1.0))
+    Y = ql.TestVectorField(kind="coordinate_bump", bump=bump, axis=0)
+    assert ql.stationary_residual(f, Y).excluded_fraction == pytest.approx(0.05, rel=1e-12)
+    eta_rep = ql.energy_inequality_defect(f, bump, -1.0, 1.0)
+    assert eta_rep.excluded_fraction == pytest.approx(0.05, rel=1e-12)
+
+
+@pytest.mark.parametrize("which", ["distributional", "stationary"])
+def test_singular_integrand_gate(which):
+    # u = max(x1, 0) sits below the floor h^alpha on over half of the support
+    f = profile("relu_x1", cells=256)
+    psi = centered_bump(1)
+    with pytest.raises(SingularIntegrandError):
+        if which == "distributional":
+            ql.distributional_residual(f, psi)
+        else:
+            ql.stationary_residual(f, ql.TestVectorField(kind="coordinate_bump", bump=psi,
+                                                         axis=0))
+
+
 # -- energy inequality -----------------------------------------------------------
 
 def test_energy_defect_collapse_solution(p3_1d):
@@ -230,6 +258,17 @@ def test_two_valued_rejects_negative_fields(p3_1d):
     bump = centered_bump(1)
     with pytest.raises(UsageError):
         ql.two_valued_caloric_check(f, [bump], vector_tests(f, bump))
+
+
+def test_two_valued_rejects_vector_field_leaving_domain():
+    # a clipped support would drop the boundary terms of the stationarity identity
+    f = profile("abs_x1", cells=128)
+    eta = centered_bump(1)
+    outside = ql.SpaceTimeBump(space=ql.CutoffSpec((0.8,), 0.25, 0.5),
+                               time=ql.TimeWindow(center=0.0, inner=0.3, outer=0.6))
+    Y = ql.TestVectorField(kind="coordinate_bump", bump=outside, axis=0)
+    with pytest.raises(DomainError):
+        ql.two_valued_caloric_check(f, [eta], [Y])
 
 
 def test_two_valued_exact_scaling():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import quenchlab as ql
-from quenchlab.errors import DomainError, UsageError
+from quenchlab.errors import AccuracyError, DomainError, UsageError
 from quenchlab.rupture import RuptureSet
 
 RADII = [0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125]
@@ -193,6 +193,15 @@ def test_apriori_collapse_oracle(p3_1d):
     for q, expect in (("u_inv_p", 1.5), ("energy", 2.0), ("mass", 3.5)):
         fit = ql.apriori_scaling_check(f, X0, q, APRIORI_RADII, u_floor=1e-4)
         assert fit.fitted_dim == pytest.approx(expect, abs=0.1), q
+
+
+def test_apriori_singular_cells_gate(p3_1d):
+    # u = max(x1, 0) vanishes on half of every cylinder around the origin
+    grid = ql.GridSpec(origin=[-1.0], extent=[2.0], cells=[256], time_start=-1.0, time_end=0.0)
+    f = ql.profile_field(p3_1d, grid, np.linspace(-1.0, 0.0, 9), "relu_x1")
+    X0 = ql.ParabolicPoint((0.0,), 0.0)
+    with pytest.raises(AccuracyError, match="singular cells"):
+        ql.apriori_scaling_check(f, X0, "u_inv_p", APRIORI_RADII)
 
 
 def test_apriori_rejects_unknown_quantity(ode_field_dense):
