@@ -71,16 +71,22 @@ class SpaceTimeField:
 
     def time_bracket(self, t: float) -> Tuple[int, float]:
         """Interval index i and weight w with t = (1-w) t_i + w t_{i+1}."""
+        i, w = self.time_brackets(np.asarray([t], dtype=float))
+        return int(i[0]), float(w[0])
+
+    def time_brackets(self, ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """time_bracket for every entry of ts: index and weight arrays."""
         times = self.times
         span = max(times[-1] - times[0], 1e-300)
-        if t < times[0] - 1e-12 * span or t > times[-1] + 1e-12 * span:
-            raise DomainError(f"time {t} outside stored range [{times[0]}, {times[-1]}]")
+        bad = (ts < times[0] - 1e-12 * span) | (ts > times[-1] + 1e-12 * span)
+        if bad.any():
+            raise DomainError(f"time {ts[bad].min()} outside stored range "
+                              f"[{times[0]}, {times[-1]}]")
         if times.size == 1:
-            return 0, 0.0
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        i = min(max(i, 0), times.size - 2)
-        w = (t - times[i]) / (times[i + 1] - times[i])
-        return i, float(min(max(w, 0.0), 1.0))
+            return np.zeros(ts.shape, dtype=int), np.zeros(ts.shape)
+        i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, times.size - 2)
+        w = (ts - times[i]) / (times[i + 1] - times[i])
+        return i, np.clip(w, 0.0, 1.0)
 
     def slab(self, t: float) -> np.ndarray:
         """Node values at time t (linear interpolation between stored slabs)."""
@@ -112,8 +118,12 @@ def _spatial_weights(grid: GridSpec, xs: np.ndarray):
     return idx, frac
 
 
-def _interp_slab(grid: GridSpec, slab: np.ndarray, idx, frac) -> np.ndarray:
-    """Multilinear interpolation of one slab at precomputed weights."""
+def _interp_slab(grid: GridSpec, slab: np.ndarray, idx, frac, lead=()) -> np.ndarray:
+    """Multilinear interpolation of one slab at precomputed weights.
+
+    lead holds index arrays for leading axes of slab, so values (ntimes, ...)
+    with lead=(i,) interpolates every point in its own stored slab.
+    """
     n = grid.n
     out = np.zeros(idx[0].shape, dtype=float)
     for corner in itertools.product((0, 1), repeat=n):
@@ -122,7 +132,7 @@ def _interp_slab(grid: GridSpec, slab: np.ndarray, idx, frac) -> np.ndarray:
         for k, c in enumerate(corner):
             w = w * (frac[k] if c else 1.0 - frac[k])
             ix.append(idx[k] + c)
-        out += w * slab[tuple(ix)]
+        out += w * slab[tuple(lead) + tuple(ix)]
     return out
 
 
@@ -137,34 +147,16 @@ def sample_many(field: SpaceTimeField, xs: np.ndarray, ts: np.ndarray) -> np.nda
         bad = xs[~inside][0]
         raise DomainError(f"point {tuple(bad)} outside the spatial domain")
     idx, frac = _spatial_weights(field.grid, xs)
-    out = np.empty(ts.shape, dtype=float)
-    # group by time interval so each stored slab pair is interpolated once
-    order = np.argsort(ts, kind="stable")
-    pos = 0
-    while pos < order.size:
-        t0 = ts[order[pos]]
-        i, _ = field.time_bracket(t0)
-        hi = pos
-        while hi < order.size and field.time_bracket(ts[order[hi]])[0] == i:
-            hi += 1
-        sel = order[pos:hi]
-        sub_idx = [a[sel] for a in idx]
-        sub_frac = [f[sel] for f in frac]
-        va = _interp_slab(field.grid, field.values[i], sub_idx, sub_frac)
-        if field.times.size == 1:
-            out[sel] = va
-        else:
-            vb = _interp_slab(field.grid, field.values[i + 1], sub_idx, sub_frac)
-            w = (ts[sel] - field.times[i]) / (field.times[i + 1] - field.times[i])
-            w = np.clip(w, 0.0, 1.0)
-            out[sel] = (1.0 - w) * va + w * vb
-        pos = hi
-    return out
+    i, w = field.time_brackets(ts)
+    va = _interp_slab(field.grid, field.values, idx, frac, lead=(i,))
+    if field.times.size == 1:
+        return va
+    vb = _interp_slab(field.grid, field.values, idx, frac, lead=(i + 1,))
+    return (1.0 - w) * va + w * vb
 
 
 def sample(field: SpaceTimeField, X: ParabolicPoint) -> float:
     """Value at X; multilinear in space, linear in time."""
-    field.time_bracket(X.t)
     return float(sample_many(field, np.asarray([X.x]), np.asarray([X.t]))[0])
 
 

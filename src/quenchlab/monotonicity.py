@@ -215,20 +215,29 @@ def density_estimate(field: SpaceTimeField, x0: ParabolicPoint, w: WeightSpec,
         raise UsageError("ladder needs at least three octave points (s_max >= 4 s_min)")
     ladder = np.array(sorted(s_max / 2.0 ** k for k in range(n_oct + 1)))
 
+    # ladder, octave averages and fine scan share s values; evaluate each once
+    memo = {}
+
+    def energy(s):
+        key = float(s)
+        if key not in memo:
+            memo[key] = weighted_energy_detail(field, x0, s, w, u_floor)
+        return memo[key]
+
     singular = False
     e_vals, ebar_vals = [], []
     for s in ladder:
-        det = weighted_energy_detail(field, x0, s, w, u_floor)
+        det = energy(s)
         singular |= det.flagged
         e_vals.append(det.value)
-        ebar_vals.append(averaged_energy(field, x0, s, w, u_floor=u_floor))
+        ebar_vals.append(_average_over_octave(lambda tau: energy(tau).value, s, 9))
     e_vals = np.array(e_vals)
     ebar_vals = np.array(ebar_vals)
 
     # fine scan of E for almost-monotonicity violations
     n_fine = max(int(np.ceil(fine_per_octave * np.log2(2.0 * s_max / s_min))), 2)
     fine = np.geomspace(s_min, 2.0 * s_max, n_fine + 1)
-    fine_e = np.array([weighted_energy_detail(field, x0, s, w, u_floor).value for s in fine])
+    fine_e = np.array([energy(s).value for s in fine])
     violations = []
     for a, b, ea, eb in zip(fine[:-1], fine[1:], fine_e[:-1], fine_e[1:]):
         drop = ea - eb

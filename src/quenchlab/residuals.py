@@ -233,8 +233,8 @@ def _worst(reports: List[ResidualReport], factor: float = 1.0) -> ResidualReport
 def two_valued_caloric_check(field: SpaceTimeField,
                              etas: Sequence[SpaceTimeBump],
                              Ys: Sequence[TestVectorField],
-                             nonneg_bumps: Optional[Sequence[SpaceTimeBump]] = None,
-                             u_floor: Optional[float] = None) -> Dict[str, ResidualReport]:
+                             nonneg_bumps: Optional[Sequence[SpaceTimeBump]] = None
+                             ) -> Dict[str, ResidualReport]:
     """Check the five defining conditions of a stationary two-valued caloric field.
 
     (i)   finiteness of int |grad u|^2 + |u_t|^2,

@@ -5,7 +5,6 @@ length r^2), matching coverings by parabolic cylinders: a time line has
 parabolic dimension 2, a spatial line 1.
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -53,9 +52,6 @@ class RuptureSet:
     def __len__(self):
         return int(self.ts.size)
 
-    def points(self) -> List[ParabolicPoint]:
-        return [ParabolicPoint(tuple(x), float(t)) for x, t in zip(self.xs, self.ts)]
-
 
 @dataclass
 class DimensionFit:
@@ -101,13 +97,16 @@ def holder_seminorm(field: SpaceTimeField, exponent: float, budget: int,
                     seed: int = 0) -> HolderEstimate:
     """Estimate sup |u(X) - u(Y)| / delta(X, Y)^exponent over grid nodes.
 
-    Random node pairs seed a local hill climb: all node pairs within
-    parabolic distance 4h of the current witness are tried until no
-    improvement remains.  Pairs come from a counter-based Philox stream in
-    fixed blocks of 1024 with one climb per block, so runs are reproducible
-    and a larger budget strictly extends the evaluated set: the estimate
-    never decreases when the budget grows under the same seed.  The returned
-    seminorm is exactly realized by the witness pair.
+    The budget fixes the number of random seed pairs, rounded up to whole
+    blocks of 1024 drawn from a counter-based Philox stream.  The best pair
+    of each block seeds a coordinate climb: every node within 4 cells and
+    parabolic time window (4h)^2 of one endpoint is tried against the other,
+    fixed endpoint, then the roles swap, until neither side improves (at
+    most 100 steps).  Climb pairs come on top of the budget, and
+    pairs_sampled counts both.  Runs are reproducible, and a larger budget
+    strictly extends the evaluated set, so the estimate never decreases when
+    the budget grows under the same seed.  The returned seminorm is exactly
+    realized by the witness pair.
     """
     if not 0 < exponent <= 1:
         raise UsageError("exponent must lie in (0, 1]")
@@ -120,41 +119,40 @@ def holder_seminorm(field: SpaceTimeField, exponent: float, budget: int,
     times = field.times
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     g = field.grid
-    h = g.spacing
-    shape = g.node_shape
+    shape = np.asarray(g.node_shape)
+    window = (_REFINE_CELLS * g.spacing) ** 2
+    # the (2R+1)^n spatial offsets in lexicographic order, last axis fastest
+    span = np.arange(-_REFINE_CELLS, _REFINE_CELLS + 1)
+    stencil = np.stack(np.meshgrid(*[span] * g.n, indexing="ij"), axis=-1).reshape(-1, g.n)
 
     evaluated = 0
 
     def _neighbors(it, isp):
-        multi = np.unravel_index(isp, shape)
-        ranges = [range(max(m - _REFINE_CELLS, 0), min(m + _REFINE_CELLS, shape[k] - 1) + 1)
-                  for k, m in enumerate(multi)]
-        window = (_REFINE_CELLS * h) ** 2
+        """(time, space) indices of the nodes within the refinement window."""
+        multi = np.asarray(np.unravel_index(isp, g.node_shape)) + stencil
+        multi = multi[np.all((multi >= 0) & (multi < shape), axis=1)]
+        flat = np.ravel_multi_index(tuple(multi.T), g.node_shape)
         tsel = np.flatnonzero(np.abs(times - times[it]) <= window)
-        out = []
-        for mt in tsel:
-            for combo in itertools.product(*ranges):
-                out.append((int(mt), int(np.ravel_multi_index(combo, shape))))
-        return np.asarray(out)
+        return np.repeat(tsel, flat.size), np.tile(flat, tsel.size)
 
     def climb(q0, pair):
         nonlocal evaluated
-        cur_q, cur = q0, pair
+        cur_q, cur = q0, list(pair)
         for _ in range(100):
-            ia = _neighbors(*cur[0])
-            ib = _neighbors(*cur[1])
-            pa = np.repeat(np.arange(len(ia)), len(ib))
-            pb = np.tile(np.arange(len(ib)), len(ia))
-            q = _quotients(xs, times, vals, ia[pa, 0], ia[pa, 1],
-                           ib[pb, 0], ib[pb, 1], exponent)
-            evaluated += q.size
-            j = int(np.argmax(q))
-            if q[j] <= cur_q * (1 + 1e-15):
+            improved = False
+            for side in (0, 1):
+                mt, ms = _neighbors(*cur[side])
+                ft, fs = cur[1 - side]
+                q = _quotients(xs, times, vals, mt, ms, ft, fs, exponent)
+                evaluated += q.size
+                j = int(np.argmax(q))
+                if q[j] > cur_q * (1 + 1e-15):
+                    cur_q = float(q[j])
+                    cur[side] = (int(mt[j]), int(ms[j]))
+                    improved = True
+            if not improved:
                 break
-            cur_q = float(q[j])
-            cur = ((int(ia[pa[j], 0]), int(ia[pa[j], 1])),
-                   (int(ib[pb[j], 0]), int(ib[pb[j], 1])))
-        return cur_q, cur
+        return cur_q, tuple(cur)
 
     best = (0.0, ((0, 0), (0, 0)))
     climbed = {}
@@ -235,6 +233,21 @@ def _validate_radii(radii, h: float, size: float):
     return r
 
 
+def _count_tiles(keys: np.ndarray) -> int:
+    """Number of distinct rows of a nonnegative int64 tile-key array (m, k).
+
+    Each row folds into one int64 over the key extents, so a 1-D unique does
+    the count; extents whose product would overflow fall back to rows.
+    """
+    dims = tuple(int(d) for d in keys.max(axis=0) + 1)
+    size = 1
+    for d in dims:
+        size *= d
+    if size > np.iinfo(np.int64).max:
+        return int(np.unique(keys, axis=0).shape[0])
+    return int(np.unique(np.ravel_multi_index(tuple(keys.T), dims)).size)
+
+
 def parabolic_box_dimension(S: RuptureSet, radii: Sequence[float]) -> DimensionFit:
     """Box-counting dimension with parabolic tiles (side r, duration r^2).
 
@@ -252,7 +265,7 @@ def parabolic_box_dimension(S: RuptureSet, radii: Sequence[float]) -> DimensionF
         keys = [np.floor((S.xs[:, k] - x_ref[k]) / rad).astype(np.int64)
                 for k in range(S.xs.shape[1])]
         keys.append(np.floor((S.ts - t_ref) / rad ** 2).astype(np.int64))
-        counts.append(int(np.unique(np.stack(keys, axis=1), axis=0).shape[0]))
+        counts.append(_count_tiles(np.stack(keys, axis=1)))
     counts = np.asarray(counts)
     window = _fit_window(r)
     if np.all(counts == counts[0]):
@@ -273,7 +286,7 @@ def slice_dimension(S: RuptureSet, t: float, radii: Sequence[float]) -> Dimensio
     counts = []
     for rad in r:
         keys = np.floor((xs - x_ref) / rad).astype(np.int64)
-        counts.append(int(np.unique(keys, axis=0).shape[0]))
+        counts.append(_count_tiles(keys))
     counts = np.asarray(counts)
     window = _fit_window(r)
     if np.all(counts == counts[0]):

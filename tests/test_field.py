@@ -3,6 +3,7 @@ import pytest
 
 import quenchlab as ql
 from quenchlab.errors import DomainError, ValidationError
+from quenchlab.field import _interp_slab, _spatial_weights, sample_many
 
 
 def make_field(fn, cells=64, n=1, times=None, extent=2.0):
@@ -67,6 +68,50 @@ def test_sample_out_of_domain():
         ql.sample(f, ql.ParabolicPoint((1.5,), 0.5))
     with pytest.raises(DomainError):
         ql.sample(f, ql.ParabolicPoint((0.0,), 2.0))
+
+
+def _sample_reference(f, xs, ts):
+    """A scalar time bracket and two slab interpolations per point."""
+    out = []
+    last = max(f.times.size - 2, 0)
+    for x, t in zip(xs, ts):
+        i = min(max(int(np.searchsorted(f.times, t, side="right")) - 1, 0), last)
+        if f.times.size > 1:
+            w = min(max((t - f.times[i]) / (f.times[i + 1] - f.times[i]), 0.0), 1.0)
+        idx, frac = _spatial_weights(f.grid, x[None, :])
+        va = _interp_slab(f.grid, f.values[i], idx, frac)[0]
+        if f.times.size == 1:
+            out.append(va)
+        else:
+            vb = _interp_slab(f.grid, f.values[i + 1], idx, frac)[0]
+            out.append((1.0 - w) * va + w * vb)
+    return np.asarray(out)
+
+
+_LADDER = np.sort(np.r_[0.0, 1.0, np.random.default_rng(1).uniform(0.0, 1.0, 9)])
+
+
+@pytest.mark.parametrize("times", [_LADDER, np.array([0.5])], ids=["ladder", "single_slab"])
+def test_sample_many_matches_per_point_reference(times):
+    f = make_field(lambda xs, t: np.sin(3.0 * xs[:, 0]) * np.cos(xs[:, 1]) + t ** 2,
+                   cells=16, n=2, times=times)
+    rng = np.random.default_rng(2)
+    m = 400
+    xs = rng.uniform(-1.0, 1.0, size=(m, 2))
+    ts = rng.uniform(times[0], times[-1], size=m)
+    ts[:times.size] = times                 # every stored time, first and last included
+    ts[-3:] = times[0], times[-1], times[times.size // 2]
+    got = sample_many(f, xs, ts)
+    assert np.array_equal(got, _sample_reference(f, xs, ts))
+
+
+def test_sample_many_time_out_of_range():
+    f = make_field(lambda xs, t: xs[:, 0])
+    xs = np.zeros((3, 1))
+    with pytest.raises(DomainError, match="time 1.5 outside"):
+        sample_many(f, xs, [0.5, 1.5, 2.0])
+    with pytest.raises(DomainError, match="time -0.5 outside"):
+        sample_many(f, xs, [-0.5, 0.5, 2.0])
 
 
 def test_gradient_examples():

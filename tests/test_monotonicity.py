@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import quenchlab as ql
+import quenchlab.monotonicity as mono
 from quenchlab.errors import DomainError, UsageError
 from quenchlab.monotonicity import _average_over_octave
 
@@ -76,6 +77,25 @@ def test_density_estimate_diverges_at_positivity_point(ode_field_dense):
     theta, trace = ql.density_estimate(ode_field_dense, x0, w, 1e-4, 0.2, u_floor=1e-6)
     assert theta is None
     assert trace.diverging
+
+
+def test_density_estimate_evaluates_each_s_once(ode_field_dense, monkeypatch):
+    w = ql.WeightSpec(truncation_multiple=6.0)
+    calls = []
+    detail = mono.weighted_energy_detail
+
+    def counted(field, x0, s, *args):
+        calls.append(float(s))
+        return detail(field, x0, s, *args)
+
+    monkeypatch.setattr(mono, "weighted_energy_detail", counted)
+    theta, trace = ql.density_estimate(ode_field_dense, QUENCH, w, 1e-3, 0.2)
+    monkeypatch.undo()
+    assert len(calls) == len(set(calls))
+    # the shared values are the ones separate evaluations give, bit for bit
+    for s, e, ebar in zip(trace.s_samples, trace.E_values, trace.Ebar_values):
+        assert e == ql.weighted_energy(ode_field_dense, QUENCH, s, w)
+        assert ebar == ql.averaged_energy(ode_field_dense, QUENCH, s, w)
 
 
 def test_density_estimate_usage_errors(ode_field_dense):

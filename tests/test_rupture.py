@@ -3,7 +3,7 @@ import pytest
 
 import quenchlab as ql
 from quenchlab.errors import AccuracyError, DomainError, UsageError
-from quenchlab.rupture import RuptureSet
+from quenchlab.rupture import RuptureSet, _count_tiles
 
 RADII = [0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125]
 
@@ -73,6 +73,20 @@ def test_seminorm_rescale_invariance(p3_1d, ode_field_dyadic):
     a = ql.holder_seminorm(sub.field, 0.5, budget=4000, seed=5)
     b = ql.holder_seminorm(v, 0.5, budget=4000, seed=5)
     assert b.seminorm == pytest.approx(a.seminorm, rel=0.02)
+
+
+def test_seminorm_radial_coordinate_climb(p3_2d):
+    # u = sqrt(2)|x|^(1/2): the sup sqrt(2) sits on pairs through the origin.
+    # A climb step costs two neighbourhoods, not their product.
+    grid = ql.GridSpec(origin=[-1.0, -1.0], extent=[2.0, 2.0], cells=[64, 64],
+                       time_start=-0.25, time_end=-1e-5)
+    f = ql.radial_field(p3_2d, grid, ql.geometric_times(-0.25, -1e-5, 0.9))
+    est = ql.holder_seminorm(f, 0.5, budget=4000, seed=7)
+    assert est.seminorm == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    wa, wb = est.witness_pair
+    q = abs(ql.sample(f, wa) - ql.sample(f, wb)) / ql.parabolic_distance(wa, wb) ** 0.5
+    assert q == est.seminorm
+    assert est.pairs_sampled < 100_000
 
 
 def test_seminorm_usage_errors(p3_1d):
@@ -158,6 +172,35 @@ def test_dimension_finite_set_reads_zero():
     small = [0.02, 0.01, 0.005, 0.0025]
     fit = ql.parabolic_box_dimension(S, small)
     assert fit.fitted_dim == pytest.approx(0.0, abs=0.1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tile_counts_match_row_unique(n):
+    rng = np.random.default_rng(n)
+    g = ql.GridSpec(origin=[-1.0] * n, extent=[2.0] * n, cells=[256] * n,
+                    time_start=-1.0, time_end=0.0)
+    xs = rng.uniform(-0.9, 0.9, size=(3000, n))
+    ts = rng.uniform(-0.9, -0.1, size=3000)
+    ts[:1000] = -0.5
+    S = RuptureSet(0.1, xs, ts, g)
+    radii = [0.25, 0.125, 0.0625, 0.03125]
+    par = ql.parabolic_box_dimension(S, radii).counts
+    sl = ql.slice_dimension(S, -0.5, radii).counts
+    on_slice = xs[np.abs(ts + 0.5) <= g.spacing ** 2]
+    for k, rad in enumerate(radii):
+        keys = np.floor((xs - xs.min(axis=0)) / rad).astype(np.int64)
+        tkey = np.floor((ts - ts.min()) / rad ** 2).astype(np.int64)
+        rows = np.concatenate([keys, tkey[:, None]], axis=1)
+        assert par[k] == np.unique(rows, axis=0).shape[0]
+        skeys = np.floor((on_slice - on_slice.min(axis=0)) / rad).astype(np.int64)
+        assert sl[k] == np.unique(skeys, axis=0).shape[0]
+
+
+def test_tile_counts_fall_back_when_keys_overflow():
+    # extents 2^40 x 2^40 do not fold into one int64
+    keys = np.array([[0, 0], [2 ** 40 - 1, 5], [0, 0], [7, 2 ** 40 - 1]], dtype=np.int64)
+    assert _count_tiles(keys) == 3
+    assert _count_tiles(keys[:, :1]) == 3
 
 
 def test_dimension_errors():
