@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 from .params import ModelParams
 from .grid import GridSpec
 from .geometry import ParabolicCylinder, ParabolicPoint, parabolic_distance
-from .field import (SpaceTimeField, field_from_function, gradient, laplacian,
-                    restrict, sample, sample_many, time_derivative)
+from .field import SpaceTimeField, field_from_function, sample, sample_many
 from .exact import (BlowupSpec, dyadic_times, geometric_times, ode_field,
                     ode_solution, profile_field, radial_field, radial_steady,
                     radial_steady_coeff, rescale, self_similarity_residual)

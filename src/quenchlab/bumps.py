@@ -180,7 +180,6 @@ class SpaceTimeBump:
 
 COORDINATE = "coordinate_bump"
 RADIAL = "radial_bump"
-CUSTOM = "custom_table"
 
 
 @dataclass(frozen=True)
@@ -189,26 +188,18 @@ class TestVectorField:
 
     coordinate_bump: Y = psi * e_axis
     radial_bump:     Y = psi * (x - center)
-    custom_table:    caller supplies value/divergence/jacobian callables
     """
 
     kind: str
-    bump: Optional[SpaceTimeBump] = None
+    bump: SpaceTimeBump
     axis: int = 0
-    table: Optional[dict] = None
 
     def __post_init__(self):
-        if self.kind not in (COORDINATE, RADIAL, CUSTOM):
+        if self.kind not in (COORDINATE, RADIAL):
             raise ValidationError(f"unknown vector-field kind {self.kind!r}")
-        if self.kind in (COORDINATE, RADIAL) and self.bump is None:
-            raise ValidationError(f"{self.kind} requires a bump")
-        if self.kind == CUSTOM and not self.table:
-            raise ValidationError("custom_table requires value/divergence/jacobian callables")
 
     def value(self, xs, t):
         xs = np.asarray(xs)
-        if self.kind == CUSTOM:
-            return self.table["value"](xs, t)
         psi = self.bump.value(xs, t)
         if self.kind == COORDINATE:
             out = np.zeros(xs.shape)
@@ -218,8 +209,6 @@ class TestVectorField:
 
     def divergence(self, xs, t):
         xs = np.asarray(xs)
-        if self.kind == CUSTOM:
-            return self.table["divergence"](xs, t)
         if self.kind == COORDINATE:
             return self.bump.grad(xs, t)[..., self.axis]
         n = xs.shape[-1]
@@ -230,8 +219,6 @@ class TestVectorField:
         """DY[i, j] = dY_i/dx_j at each point, shape (..., n, n)."""
         xs = np.asarray(xs)
         n = xs.shape[-1]
-        if self.kind == CUSTOM:
-            return self.table["jacobian"](xs, t)
         g = self.bump.grad(xs, t)
         out = np.zeros(xs.shape + (n,))
         if self.kind == COORDINATE:
@@ -245,11 +232,7 @@ class TestVectorField:
         return out
 
     def support_box(self):
-        if self.kind == CUSTOM:
-            return self.table.get("support_box")
         return self.bump.support_box()
 
     def time_support(self):
-        if self.kind == CUSTOM:
-            return self.table.get("time_support")
         return self.bump.time.support()

@@ -6,7 +6,8 @@
     quenchlab report   --run rundir --format json|text
 
 Exit codes: 0 ok, 2 usage/validation, 3 numerical/accuracy, 4 budget,
-5 corrupt file.  QUENCHLAB_THREADS caps analysis parallelism.
+5 corrupt file.  QUENCHLAB_THREADS (a positive integer) caps analysis
+parallelism.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import sys
 
 from .config import KNOWN_OPS, load_config
 from .errors import QuenchLabError, UsageError
-from .pipeline import (Report, _HANDLERS, emit_report, run_pipeline)
+from .pipeline import Report, _HANDLERS, _auto_radii, emit_report, run_pipeline
 from .qlf import load_field
 from .rupture import parabolic_box_dimension, rupture_set, rupture_threshold
 
@@ -82,15 +83,7 @@ def _cmd_dimension(args) -> int:
     if len(S) == 0:
         sys.stdout.write(f"tau={tau:g}: rupture set empty\n")
         return 0
-    h = field.h
-    radii = []
-    r = max(field.grid.extent) / 4.0
-    while r >= 4.0 * h * (1 - 1e-12):
-        radii.append(r)
-        r /= 2.0
-    if len(radii) < 2:
-        raise UsageError("grid too coarse for a dimension ladder")
-    fit = parabolic_box_dimension(S, radii)
+    fit = parabolic_box_dimension(S, _auto_radii(field))
     sys.stdout.write(f"tau={tau:g} points={len(S)} dim_P={fit.fitted_dim:.3f} "
                      f"residual={fit.residual:.3g}\n")
     for rad, cnt in zip(fit.radii, fit.counts):

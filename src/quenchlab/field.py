@@ -1,19 +1,19 @@
-"""Sampled space-time fields and their discrete calculus.
+"""Sampled space-time fields and their interpolation.
 
 A SpaceTimeField stores one spatial slab of node values per stored time.
-Interpolation is multilinear in space and linear in time; derivatives use
-second order differences interpolated to the query point.  Everything here
-treats fields as immutable snapshots, so concurrent reads are safe.
+Interpolation is multilinear in space and linear in time.  Derivatives live
+with their users: cell-centre gradients and interval slopes in `quadrature`,
+the nodal Laplacian in `solver`.  Everything here treats fields as immutable
+snapshots, so concurrent reads are safe.
 """
 
 import itertools
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .errors import DomainError, UsageError, ValidationError
-from .geometry import ParabolicCylinder, ParabolicPoint
+from .geometry import ParabolicPoint
 from .grid import GridSpec
 from .params import ModelParams
 
@@ -158,203 +158,6 @@ def sample_many(field: SpaceTimeField, xs: np.ndarray, ts: np.ndarray) -> np.nda
 def sample(field: SpaceTimeField, X: ParabolicPoint) -> float:
     """Value at X; multilinear in space, linear in time."""
     return float(sample_many(field, np.asarray([X.x]), np.asarray([X.t]))[0])
-
-
-# -- derivatives ------------------------------------------------------------
-
-def _check_interior(field: SpaceTimeField, X: ParabolicPoint, margin: float = 1.0):
-    h = field.h
-    lo = np.asarray(field.grid.origin)
-    hi = np.asarray(field.grid.upper())
-    x = np.asarray(X.x)
-    slack = 1e-12 * max(field.grid.extent)
-    if np.any(x < lo + margin * h - slack) or np.any(x > hi - margin * h + slack):
-        raise DomainError(
-            f"point {tuple(x)} is within {margin} spacing of the spatial boundary; "
-            "derivatives are interior objects here")
-
-
-def _central_diff_slab(slab: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Central difference along one axis; boundary entries are left as NaN."""
-    out = np.full_like(slab, np.nan)
-    sl_mid = [slice(None)] * slab.ndim
-    sl_up = [slice(None)] * slab.ndim
-    sl_dn = [slice(None)] * slab.ndim
-    sl_mid[axis] = slice(1, -1)
-    sl_up[axis] = slice(2, None)
-    sl_dn[axis] = slice(0, -2)
-    out[tuple(sl_mid)] = (slab[tuple(sl_up)] - slab[tuple(sl_dn)]) / (2.0 * h)
-    return out
-
-
-def _second_diff_slab(slab: np.ndarray, axis: int, h: float) -> np.ndarray:
-    out = np.full_like(slab, np.nan)
-    sl_mid = [slice(None)] * slab.ndim
-    sl_up = [slice(None)] * slab.ndim
-    sl_dn = [slice(None)] * slab.ndim
-    sl_mid[axis] = slice(1, -1)
-    sl_up[axis] = slice(2, None)
-    sl_dn[axis] = slice(0, -2)
-    out[tuple(sl_mid)] = (slab[tuple(sl_up)] - 2.0 * slab[tuple(sl_mid)] + slab[tuple(sl_dn)]) / h ** 2
-    return out
-
-
-def _interp_derived(field: SpaceTimeField, X: ParabolicPoint, node_op) -> float:
-    """Apply node_op to the two bracketing slabs, interpolate to X."""
-    i, w = field.time_bracket(X.t)
-    xs = np.asarray([X.x])
-    idx, frac = _spatial_weights(field.grid, xs)
-    da = _interp_slab(field.grid, node_op(field.values[i]), idx, frac)[0]
-    if w == 0.0 or field.times.size == 1:
-        val = da
-    else:
-        db = _interp_slab(field.grid, node_op(field.values[i + 1]), idx, frac)[0]
-        val = (1.0 - w) * da + w * db
-    if not np.isfinite(val):
-        raise DomainError("derivative stencil touched the spatial boundary")
-    return float(val)
-
-
-def gradient(field: SpaceTimeField, X: ParabolicPoint) -> np.ndarray:
-    """Spatial gradient at X from central second order differences."""
-    _check_interior(field, X)
-    h = field.h
-    return np.array([
-        _interp_derived(field, X, lambda s, k=k: _central_diff_slab(s, k, h))
-        for k in range(field.n)
-    ])
-
-
-def laplacian(field: SpaceTimeField, X: ParabolicPoint) -> float:
-    """Standard 2n+1 point Laplacian at X, second order."""
-    _check_interior(field, X)
-    h = field.h
-
-    def op(slab):
-        acc = np.zeros_like(slab)
-        for k in range(field.n):
-            acc = acc + _second_diff_slab(slab, k, h)
-        return acc
-
-    return _interp_derived(field, X, op)
-
-
-def time_derivative(field: SpaceTimeField, X: ParabolicPoint) -> float:
-    """du/dt at X from the quadratic through three neighboring slabs.
-
-    Exact for fields quadratic in t, uniform steps or not.  Refused at the
-    temporal endpoints.
-    """
-    times = field.times
-    if times.size < 3:
-        raise UsageError("time_derivative needs at least three stored slabs")
-    span = times[-1] - times[0]
-    if X.t <= times[0] + 1e-14 * span or X.t >= times[-1] - 1e-14 * span:
-        raise DomainError(f"time {X.t} is at or beyond the stored endpoints")
-    i, w = field.time_bracket(X.t)
-    # pick the centered triple around the containing interval
-    if i == 0:
-        j = 0
-    elif i >= times.size - 2:
-        j = times.size - 3
-    else:
-        j = i - 1 if (X.t - times[i]) < (times[i + 1] - X.t) else i
-        j = min(max(j, 0), times.size - 3)
-    t0, t1, t2 = times[j], times[j + 1], times[j + 2]
-    xs = np.asarray([X.x])
-    idx, frac = _spatial_weights(field.grid, xs)
-    u0 = _interp_slab(field.grid, field.values[j], idx, frac)[0]
-    u1 = _interp_slab(field.grid, field.values[j + 1], idx, frac)[0]
-    u2 = _interp_slab(field.grid, field.values[j + 2], idx, frac)[0]
-    t = X.t
-    # derivative of the Lagrange quadratic through (t0,u0),(t1,u1),(t2,u2)
-    d0 = u0 * (2 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
-    d1 = u1 * (2 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
-    d2 = u2 * (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1))
-    return float(d0 + d1 + d2)
-
-
-# -- restriction ------------------------------------------------------------
-
-@dataclass
-class CylinderPatch:
-    """A grid-aligned sub-field together with a node mask for the cylinder."""
-
-    field: SpaceTimeField
-    node_mask: np.ndarray          # shape (ntimes,) + node_shape of the sub-field
-    cylinder: ParabolicCylinder
-
-    def mask_measure(self) -> float:
-        """Space-time volume of the cylinder seen by the sub-grid.
-
-        Counts spatial cells whose center lies in the ball and clips stored
-        time intervals against the cylinder's window, so the estimate
-        converges to |B_r| * (time window length).
-        """
-        f = self.field
-        lo, hi = self.cylinder.time_window()
-        centers = np.meshgrid(*[f.grid.axis_cell_centers(k) for k in range(f.n)],
-                              indexing="ij")
-        pts = np.stack([c.ravel() for c in centers], axis=-1)
-        c = np.asarray(self.cylinder.center.x)
-        in_ball = np.linalg.norm(pts - c, axis=-1) <= self.cylinder.radius
-        space = in_ball.sum() * f.h ** f.n
-        tgrid = np.clip(f.times, lo, hi)
-        tlen = float(tgrid[-1] - tgrid[0]) if f.times.size > 1 else 0.0
-        return float(space * tlen)
-
-
-def restrict(field: SpaceTimeField, Q: ParabolicCylinder) -> CylinderPatch:
-    """Sub-field on the smallest grid-aligned box containing Q, plus mask."""
-    g = field.grid
-    if Q.center.n != field.n:
-        raise UsageError("cylinder dimension does not match field")
-    h = g.spacing
-    c = np.asarray(Q.center.x)
-    lo_idx, hi_idx = [], []
-    for k in range(g.n):
-        a = int(np.floor((c[k] - Q.radius - g.origin[k]) / h))
-        b = int(np.ceil((c[k] + Q.radius - g.origin[k]) / h))
-        a = max(a, 0)
-        b = min(b, g.cells[k])
-        if a > b:
-            raise DomainError("cylinder does not intersect the spatial domain")
-        if a == b:   # grazing contact: widen to one full cell
-            if b < g.cells[k]:
-                b += 1
-            else:
-                a -= 1
-        lo_idx.append(a)
-        hi_idx.append(b)
-    t_lo, t_hi = Q.time_window()
-    times = field.times
-    if t_hi < times[0] or t_lo > times[-1]:
-        raise DomainError("cylinder does not intersect the stored time range")
-    j0 = int(np.searchsorted(times, t_lo, side="left"))
-    j0 = max(j0 - 1, 0)
-    j1 = int(np.searchsorted(times, t_hi, side="right"))
-    j1 = min(j1 + 1, times.size)
-    if j1 - j0 < 1:
-        raise DomainError("cylinder time window contains no stored slabs")
-
-    sub_times = times[j0:j1]
-    slicer = tuple(slice(a, b + 1) for a, b in zip(lo_idx, hi_idx))
-    sub_values = field.values[(slice(j0, j1),) + slicer].copy()
-    sub_grid = GridSpec(
-        origin=tuple(g.origin[k] + lo_idx[k] * h for k in range(g.n)),
-        extent=tuple((hi_idx[k] - lo_idx[k]) * h for k in range(g.n)),
-        cells=tuple(hi_idx[k] - lo_idx[k] for k in range(g.n)),
-        time_start=min(g.time_start, sub_times[0]),
-        time_end=max(g.time_end, sub_times[-1]),
-    )
-    sub = SpaceTimeField(field.params, sub_grid, sub_times, sub_values,
-                         boundary_kind=field.boundary_kind)
-    axes = np.meshgrid(*[sub_grid.axis_nodes(k) for k in range(g.n)], indexing="ij")
-    pts = np.stack([a.ravel() for a in axes], axis=-1)
-    mask = np.zeros((sub_times.size,) + sub_grid.node_shape, dtype=bool)
-    for j, t in enumerate(sub_times):
-        mask[j] = Q.contains(pts, np.full(pts.shape[0], t)).reshape(sub_grid.node_shape)
-    return CylinderPatch(field=sub, node_mask=mask, cylinder=Q)
 
 
 def field_from_function(params: ModelParams, grid: GridSpec, times, fn,

@@ -7,9 +7,6 @@ import numpy as np
 
 from .errors import UsageError, ValidationError
 
-BACKWARD = "backward"
-TWO_SIDED = "two_sided"
-
 
 @dataclass(frozen=True)
 class ParabolicPoint:
@@ -37,23 +34,17 @@ def parabolic_distance(X: ParabolicPoint, Y: ParabolicPoint) -> float:
 
 @dataclass(frozen=True)
 class ParabolicCylinder:
-    """B_r(x) x (t - r^2, t] (backward) or B_r(x) x (t - r^2, t + r^2)."""
+    """The backward cylinder B_r(x) x (t - r^2, t]."""
 
     center: ParabolicPoint
     radius: float
-    kind: str = BACKWARD
 
     def __post_init__(self):
         if not self.radius > 0:
             raise ValidationError(f"cylinder radius must be positive, got {self.radius}")
-        if self.kind not in (BACKWARD, TWO_SIDED):
-            raise ValidationError(f"cylinder kind must be backward or two_sided, got {self.kind!r}")
 
     def time_window(self) -> Tuple[float, float]:
-        t, r2 = self.center.t, self.radius ** 2
-        if self.kind == BACKWARD:
-            return (t - r2, t)
-        return (t - r2, t + r2)
+        return (self.center.t - self.radius ** 2, self.center.t)
 
     def contains(self, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Vectorized membership for points given as xs (m, n) and ts (m,)."""
@@ -61,6 +52,6 @@ class ParabolicCylinder:
         c = np.asarray(self.center.x)
         lo, hi = self.time_window()
         in_ball = np.linalg.norm(xs - c, axis=-1) <= self.radius
-        # backward cylinders are half open at the past end, closed at the top
+        # half open at the past end, closed at the top
         in_time = (ts > lo) & (ts <= hi)
         return in_ball & in_time

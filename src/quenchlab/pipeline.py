@@ -244,6 +244,10 @@ def _run_holder(field, opts, ctx):
 
 
 def _auto_radii(field: SpaceTimeField, r_min: Optional[float] = None):
+    """Octaves from a quarter of the widest extent down to max(4h, r_min).
+
+    A ladder of fewer than two radii has no slope to fit, so it is refused.
+    """
     h = field.h
     top = max(field.grid.extent) / 4.0
     lo = max(4.0 * h, r_min or 0.0)
@@ -253,7 +257,8 @@ def _auto_radii(field: SpaceTimeField, r_min: Optional[float] = None):
         radii.append(r)
         r /= 2.0
     if len(radii) < 2:
-        radii = [top, top / 2.0]
+        raise UsageError(f"grid too coarse for a dimension ladder: fewer than two "
+                         f"octaves from r = {top:g} down to {lo:g}")
     return radii
 
 
@@ -369,9 +374,12 @@ _HANDLERS = {
 def _analysis_workers() -> int:
     raw = os.environ.get("QUENCHLAB_THREADS", "1")
     try:
-        return max(int(raw), 1)
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"QUENCHLAB_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def run_pipeline(config: RunConfig, raise_errors: bool = True) -> Report:
@@ -380,6 +388,7 @@ def run_pipeline(config: RunConfig, raise_errors: bool = True) -> Report:
     Partial results are always written; with raise_errors the first analysis
     error is re-raised (tagged with its index) after the report is on disk.
     """
+    workers = _analysis_workers()
     os.makedirs(config.output_dir, exist_ok=True)
     field, quench = acquire_field(config)
     if config.mode != "load":
@@ -412,7 +421,6 @@ def run_pipeline(config: RunConfig, raise_errors: bool = True) -> Report:
                                          "message": str(wrapped)}, {}, wrapped
 
     items = list(enumerate(config.analyses, start=1))
-    workers = _analysis_workers()
     if workers > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_one, items))

@@ -3,6 +3,8 @@ import pytest
 
 import quenchlab as ql
 from quenchlab.errors import DomainError
+from quenchlab.quadrature import spacetime_blocks
+from quenchlab.solver import _Workspace
 
 
 def test_ode_solution_values(p3_1d):
@@ -30,32 +32,33 @@ def test_radial_steady_values(p3_2d):
 
 
 def test_radial_steady_elliptic_residual_refines(p3_2d):
-    # Lap u - u^-p -> 0 at order h^2 on a fixed annulus clear of |x| < 4h
+    # Lap_h u - u^-p -> 0 at order h^2 at the nodes of a fixed annulus clear of
+    # |x| < 4h; Lap_h is the solver's stencil, whose fixed point it reaches
     errs = []
     for cells in (64, 128, 256):
         grid = ql.GridSpec(origin=[-1.0, -1.0], extent=[2.0, 2.0], cells=[cells] * 2,
                            time_start=0.0, time_end=1.0)
-        f = ql.radial_field(p3_2d, grid, [0.0, 1.0])
-        worst = 0.0
-        for x in np.linspace(0.3, 0.8, 7):
-            X = ql.ParabolicPoint((x, 0.1), 0.5)
-            u = ql.sample(f, X)
-            worst = max(worst, abs(ql.laplacian(f, X) - u ** -3.0))
-        errs.append(worst)
+        u = ql.radial_field(p3_2d, grid, [0.0, 1.0]).values[0]
+        x = np.meshgrid(*[grid.axis_nodes(k)[1:-1] for k in range(2)], indexing="ij")
+        r = np.hypot(*x)
+        ring = (r >= 0.3) & (r <= 0.8)
+        lap = _Workspace(grid, periodic=False).laplacian(u)
+        errs.append(np.max(np.abs(lap[ring] - u[1:-1, 1:-1][ring] ** -3.0)))
     order = np.log2(errs[0] / errs[2]) / 2
     assert order >= 1.8, errs
 
 
 def test_ode_field_pde_residual(p3_1d):
-    # u_t + u^-p = 0 to 1e-8 at interior sampled times (spatial terms vanish
-    # identically; the ladder must resolve the collapse curvature)
+    # u_t + u^-p = 0 to 1e-8 at every interval midpoint, from the interval
+    # slope (spatial terms vanish identically; the ladder must resolve the
+    # collapse curvature)
     grid = ql.GridSpec(origin=[-1.0], extent=[2.0], cells=[16], time_start=-1.0, time_end=-0.5)
     fu = ql.ode_field(p3_1d, grid, np.linspace(-1.0, -0.5, 4001))
-    for t in (-0.95, -0.75, -0.55):
-        X = ql.ParabolicPoint((0.0,), t)
-        assert abs(ql.time_derivative(fu, X) + ql.sample(fu, X) ** -3.0) < 1e-8
-        assert ql.laplacian(fu, X) == 0.0
-        assert ql.gradient(fu, X) == pytest.approx([0.0])
+    for blk in spacetime_blocks(fu):
+        assert np.max(np.abs(blk.dtu + blk.u ** -3.0)) < 1e-8
+        assert np.all(blk.grad[0] == 0.0)
+    lap = _Workspace(grid, periodic=False).laplacian
+    assert all(np.all(lap(slab) == 0.0) for slab in fu.values)
 
 
 def test_rescale_identity(ode_field_dyadic):

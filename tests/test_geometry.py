@@ -51,8 +51,6 @@ def test_parabolic_triangle_inequality(a, b, c):
 def test_cylinder_windows():
     q = ql.ParabolicCylinder(P(0.0, 1.0), 0.5)
     assert q.time_window() == (0.75, 1.0)
-    q2 = ql.ParabolicCylinder(P(0.0, 1.0), 0.5, kind="two_sided")
-    assert q2.time_window() == (0.75, 1.25)
     with pytest.raises(ValidationError):
         ql.ParabolicCylinder(P(0.0, 0.0), -1.0)
 

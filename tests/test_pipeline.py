@@ -5,7 +5,7 @@ import pytest
 
 import quenchlab as ql
 from quenchlab.cli import main as cli_main
-from quenchlab.errors import BudgetError, DegenerateFitError
+from quenchlab.errors import BudgetError, DegenerateFitError, UsageError
 
 SYNTH = """
 [run]
@@ -327,3 +327,29 @@ def test_threaded_analyses_match_serial(tmp_path, monkeypatch):
     ql.run_pipeline(cfg)
     threaded = (out / "report.json").read_bytes()
     assert serial == threaded
+
+
+def test_dimension_ladder_refuses_coarse_grid(tmp_path, capsys):
+    # one octave between extent/4 and 4h: the op and the CLI both refuse
+    # rather than fit a slope through radii below the grid's resolution
+    out = tmp_path / "coarse"
+    text = SYNTH.format(out=out).replace("cells = [1088]", "cells = [16]")
+    text = text[:text.index("[analysis.freq]")] + "[analysis.dim]\nop = rupture_dimension\ntau = 0.05\n"
+    with pytest.raises(UsageError, match="too coarse"):
+        ql.run_pipeline(ql.parse_config_text(text))
+    block = json.loads((out / "report.json").read_text())["analyses"][0]
+    assert (block["status"], block["error_kind"]) == ("error", "UsageError")
+    assert cli_main(["dimension", "--field", str(out / "field.qlf"), "--tau", "0.05"]) == 2
+    assert "too coarse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", ""])
+def test_bad_thread_count_rejected_before_acquisition(tmp_path, monkeypatch, raw):
+    out = tmp_path / "thr"
+    ini = tmp_path / "run.ini"
+    ini.write_text(SYNTH.format(out=out))
+    monkeypatch.setenv("QUENCHLAB_THREADS", raw)
+    with pytest.raises(UsageError, match="QUENCHLAB_THREADS"):
+        ql.run_pipeline(ql.parse_config_text(SYNTH.format(out=out)))
+    assert cli_main(["simulate", "--config", str(ini)]) == 2
+    assert not (out / "field.qlf").exists()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import quenchlab as ql
-from quenchlab.quadrature import integrate
+from quenchlab.quadrature import cell_gradient, integrate, spacetime_blocks
 
 
 def constant_field(value, times):
@@ -29,6 +29,31 @@ def test_integrate_sums_terms_weights_and_support():
     assert below.measure == pytest.approx(0.95, rel=1e-14)
     assert below.excluded_fraction == 1.0
     assert integrate(f, left_half, floor=0.25).excluded_fraction == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cell_gradient_and_dtu_second_order(n):
+    # observed order >= 1.8 from three refinements of h and dt on
+    # sin(2 x1) cos(t): the cell-centre gradient and the interval slope that
+    # every weak form rests on
+    errs_g, errs_t = [], []
+    for cells in (8, 16, 32):
+        grid = ql.GridSpec(origin=[-1.0] * n, extent=[2.0] * n, cells=[cells] * n,
+                           time_start=0.0, time_end=1.0)
+        f = ql.field_from_function(ql.ModelParams(p=3.0, n=n), grid,
+                                   np.linspace(0.0, 1.0, cells // 2 + 1),
+                                   lambda xs, t: np.sin(2 * xs[:, 0]) * np.cos(t))
+        x1 = grid.axis_cell_centers(0).reshape((-1,) + (1,) * (n - 1))
+        err = 0.0
+        for t, slab in zip(f.times, f.values):
+            g = cell_gradient(slab, grid.spacing)
+            err = max(err, np.max(np.abs(g[0] - 2 * np.cos(2 * x1) * np.cos(t))),
+                      *(np.max(np.abs(gk)) for gk in g[1:]))
+        errs_g.append(err)
+        errs_t.append(max(np.max(np.abs(blk.dtu + np.sin(2 * x1) * np.sin(blk.t_mid)))
+                          for blk in spacetime_blocks(f)))
+    for errs in (errs_g, errs_t):
+        assert np.log2(errs[0] / errs[2]) / 2 >= 1.8, errs
 
 
 # Reports of two_valued_caloric_check and apriori_scaling_check recorded before

@@ -69,8 +69,13 @@ def test_seminorm_rescale_invariance(p3_1d, ode_field_dyadic):
                      time_start=-0.125, time_end=-2.0 ** -36)
     v = ql.rescale(f, ql.BlowupSpec(ql.ParabolicPoint((0.0,), 0.0), 2.0),
                    tg, ql.dyadic_times(-0.125, 30))
-    sub = ql.restrict(f, ql.ParabolicCylinder(ql.ParabolicPoint((0.0,), -2.0 ** -38), 0.7))
-    a = ql.holder_seminorm(sub.field, 0.5, budget=4000, seed=5)
+    # the backward cylinder B_0.7(0) x (-0.49 - 2^-38, -2^-38], widened to
+    # f's nodes (h = 1/64) and to the stored times that bracket it
+    wg = ql.GridSpec(origin=[-45 / 64], extent=[90 / 64], cells=[90],
+                     time_start=-0.5, time_end=-2.0 ** -39)
+    window = ql.ode_field(p3_1d, wg, f.times[1:-1])
+    assert np.array_equal(window.values, f.values[1:-1, 19:110])
+    a = ql.holder_seminorm(window, 0.5, budget=4000, seed=5)
     b = ql.holder_seminorm(v, 0.5, budget=4000, seed=5)
     assert b.seminorm == pytest.approx(a.seminorm, rel=0.02)
 
