@@ -5,6 +5,10 @@
     quenchlab dimension --field field.qlf --tau auto|0.05
     quenchlab report   --run rundir --format json|text
 
+`analyze` takes its options from the one [analysis.*] section of --config
+that runs --op (several are refused); `dimension` is the rupture_dimension op
+with its defaults and --tau.  The --op choices are the keys of `ops.OPS`.
+
 Exit codes: 0 ok, 2 usage/validation, 3 numerical/accuracy, 4 budget,
 5 corrupt file.  QUENCHLAB_THREADS (a positive integer) caps analysis
 parallelism.
@@ -15,11 +19,11 @@ import json
 import os
 import sys
 
-from .config import KNOWN_OPS, load_config
+from .config import check_options, load_config
 from .errors import QuenchLabError, UsageError
-from .pipeline import Report, _HANDLERS, _auto_radii, emit_report, run_pipeline
+from .ops import OPS
+from .pipeline import Report, emit_report, run_pipeline
 from .qlf import load_field
-from .rupture import parabolic_box_dimension, rupture_set, rupture_threshold
 
 
 def _build_parser():
@@ -31,7 +35,7 @@ def _build_parser():
 
     ana = sub.add_parser("analyze", help="run one analysis on a stored field")
     ana.add_argument("--field", required=True)
-    ana.add_argument("--op", required=True, choices=sorted(KNOWN_OPS))
+    ana.add_argument("--op", required=True, choices=sorted(OPS))
     ana.add_argument("--point", default=None, help="comma separated x..., t")
     ana.add_argument("--config", default=None, help="optional config with [analysis.*] options")
 
@@ -59,15 +63,18 @@ def _cmd_analyze(args) -> int:
     boundary = solver = None
     if args.config:
         cfg = load_config(args.config)
-        seed = cfg.seed
-        boundary, solver = cfg.boundary, cfg.solver
-        for req in cfg.analyses:
-            if req.op == args.op:
-                options.update(req.options)
+        seed, boundary, solver = cfg.seed, cfg.boundary, cfg.solver
+        matches = [req for req in cfg.analyses if req.op == args.op]
+        if len(matches) > 1:
+            names = ", ".join(f"[{req.name}]" for req in matches)
+            raise UsageError(f"{args.op} is configured by more than one section ({names})")
+        if matches:
+            options = dict(matches[0].options)
     if args.point:
         options["point"] = [float(v) for v in args.point.split(",")]
+    op = OPS[args.op]
     ctx = {"seed": seed, "boundary": boundary, "solver": solver, "quench": None}
-    result, _ = _HANDLERS[args.op](field, options, ctx)
+    result, _ = op(field, ctx, **check_options(f"--op {args.op}", op, options))
     report = Report(meta={"package": "quenchlab", "seed": seed, "config_digest": ""},
                     run={"mode": "analyze"},
                     analyses=[{"index": 1, "name": "cli", "op": args.op,
@@ -77,17 +84,15 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_dimension(args) -> int:
-    field = load_field(args.field)
-    tau = rupture_threshold(field) if args.tau == "auto" else float(args.tau)
-    S = rupture_set(field, tau)
-    if len(S) == 0:
-        sys.stdout.write(f"tau={tau:g}: rupture set empty\n")
+    tau = args.tau if args.tau == "auto" else float(args.tau)
+    result, csvs = OPS["rupture_dimension"](load_field(args.field), {}, tau=tau)
+    if not result["points"]:
+        sys.stdout.write(f"tau={result['threshold']:g}: rupture set empty\n")
         return 0
-    fit = parabolic_box_dimension(S, _auto_radii(field))
-    sys.stdout.write(f"tau={tau:g} points={len(S)} dim_P={fit.fitted_dim:.3f} "
-                     f"residual={fit.residual:.3g}\n")
-    for rad, cnt in zip(fit.radii, fit.counts):
-        sys.stdout.write(f"  r={rad:g} count={int(cnt)}\n")
+    sys.stdout.write(f"tau={result['threshold']:g} points={result['points']} "
+                     f"dim_P={result['fitted_dim']:.3f} residual={result['fit_residual']:.3g}\n")
+    for rad, cnt in csvs["counts"][1]:
+        sys.stdout.write(f"  r={rad:g} count={cnt}\n")
     return 0
 
 

@@ -2,36 +2,27 @@
 
 Values are JSON fragments (so lists and floats read unambiguously); sections
 name the pieces of the run.  Analyses are ordered sections [analysis.NAME]
-executed in file order.  Every embedded invariant is validated eagerly so a
-bad config fails before any work starts.
+executed in file order.  Every section is checked when the config loads,
+against the fields of the dataclass it builds or the keyword-only parameters
+of the op or kind it names (see `ops`): an unknown section or key, a missing
+required key or a value of the wrong JSON type fails before any work starts.
 """
 
 import configparser
 import hashlib
+import inspect
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Dict, List, Optional
-
-import numpy as np
+from functools import partial
+from typing import Any, Callable, Dict, List, Literal, Optional, Union, get_args, get_origin
 
 from .errors import ValidationError
-from .exact import geometric_times
 from .grid import GridSpec
+from .ops import BOUNDARY, INITIAL, OPS, SYNTHETIC, TIMES
 from .params import ModelParams
-from .solver import BoundaryData, SolverConfig, ANALYTIC_TRACE, CONSTANT, PERIODIC_BC
+from .solver import BoundaryData, SolverConfig
 
-KNOWN_OPS = (
-    "density_estimate",
-    "almgren_scan",
-    "holder_seminorm",
-    "rupture_dimension",
-    "apriori_scaling",
-    "two_valued_check",
-    "comparison_guard",
-    "self_similarity",
-)
-
-RUN_MODES = ("solve", "synthetic", "load")
+SECTIONS = ("run", "model", "grid", "solver", "boundary", "initial", "synthetic", "times")
 
 
 @dataclass
@@ -50,9 +41,9 @@ class RunConfig:
     output_dir: str
     solver: SolverConfig = dc_field(default_factory=SolverConfig)
     boundary: Optional[BoundaryData] = None
-    initial: Dict[str, Any] = dc_field(default_factory=dict)
-    synthetic: Dict[str, Any] = dc_field(default_factory=dict)
-    times: Dict[str, Any] = dc_field(default_factory=dict)
+    initial: Callable = INITIAL["constant"]   # (model, grid) -> u(xs, t)
+    synthetic: Optional[Callable] = None      # (model, grid, times) -> field
+    times: Optional[Callable] = None          # () -> stored times
     field_path: Optional[str] = None
     analyses: List[AnalysisRequest] = dc_field(default_factory=list)
     raw_text: str = ""
@@ -62,63 +53,85 @@ class RunConfig:
         return hashlib.sha256(self.raw_text.encode()).hexdigest()
 
 
-def _parse_value(section: str, key: str, raw: str):
+def _run(*, mode: Literal["solve", "synthetic", "load"] = "solve", seed: int = 0,
+         output_dir: str = "quenchlab-run", field_path: Optional[str] = None):
+    """The [run] section."""
+    return locals()
+
+
+def _parse_value(raw: str):
     try:
         return json.loads(raw)
     except json.JSONDecodeError:
         return raw.strip()
 
 
-def _section(parser, name) -> Dict[str, Any]:
-    if not parser.has_section(name):
-        return {}
-    return {k: _parse_value(name, k, v) for k, v in parser.items(name)}
+def _conform(ann, value):
+    """`value` as the annotation `ann` declares it, floats via float(); else TypeError."""
+    origin, args = get_origin(ann), get_args(ann)
+    if origin is Union:
+        for arg in args:
+            try:
+                return _conform(arg, value)
+            except TypeError:
+                pass
+    elif origin is Literal:
+        if value in args:
+            return value
+    elif origin in (list, tuple):
+        if isinstance(value, list):
+            return [_conform(args[0], v) for v in value]
+    elif ann is float:
+        if type(value) in (int, float):
+            return float(value)
+    elif type(value) is ann:
+        return value
+    raise TypeError(value)
 
 
-def _require(d: Dict[str, Any], section: str, key: str):
-    if key not in d:
-        raise ValidationError(f"[{section}] is missing required key {key!r}")
-    return d[key]
+def check_options(section: str, fn: Callable, spec: Dict[str, Any]) -> Dict[str, Any]:
+    """`spec` bound against the options `fn` declares, with float values converted.
+
+    A class declares its constructor's parameters, a function its keyword-only
+    ones.  An unknown key, a missing required key or a value of the wrong JSON
+    type raises ValidationError.
+    """
+    params = {p.name: p for p in inspect.signature(fn).parameters.values()
+              if p.kind is p.KEYWORD_ONLY or isinstance(fn, type)}
+    unknown = sorted(set(spec) - set(params))
+    if unknown:
+        raise ValidationError(f"[{section}] unknown key {unknown[0]!r}; "
+                              f"known keys: {', '.join(params) or 'none'}")
+    for key, p in params.items():
+        if p.default is p.empty and key not in spec:
+            raise ValidationError(f"[{section}] is missing required key {key!r}")
+    out = {}
+    for key, value in spec.items():
+        ann = params[key].annotation
+        try:
+            out[key] = _conform(ann, value)
+        except TypeError:
+            name = ann.__name__ if isinstance(ann, type) else str(ann).replace("typing.", "")
+            raise ValidationError(f"[{section}] {key} = {value!r} is not {name}") from None
+    return out
 
 
-def build_times(spec: Dict[str, Any]) -> np.ndarray:
-    kind = spec.get("kind", "uniform")
-    if kind == "uniform":
-        return np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"]))
-    if kind == "geometric":
-        return geometric_times(float(spec["start"]), float(spec["stop"]), float(spec["ratio"]))
-    if kind == "explicit":
-        return np.asarray(spec["values"], dtype=float)
-    raise ValidationError(f"[times] unknown kind {kind!r} (uniform|geometric|explicit)")
+def _named(section: str, registry: Dict[str, Callable], spec: Dict[str, Any], key: str,
+           default: Optional[str] = None):
+    """The registry name `spec[key]` gives and the rest of `spec` checked against it."""
+    spec = dict(spec)
+    name = spec.pop(key, default)
+    if not isinstance(name, str) or name not in registry:
+        raise ValidationError(f"[{section}] unknown {key} {name!r}; known: {', '.join(registry)}")
+    return name, check_options(section, registry[name], spec)
 
 
-def _build_boundary(spec: Dict[str, Any], model: ModelParams) -> Optional[BoundaryData]:
-    if not spec:
+def _kind(sections, section: str, registry, default: Optional[str] = None):
+    """The kind a section names with its options bound, or None without the section."""
+    if not sections.get(section):
         return None
-    kind = spec.get("kind", CONSTANT)
-    if kind == CONSTANT:
-        return BoundaryData(kind=CONSTANT, value=float(spec.get("value", 1.0)))
-    if kind == PERIODIC_BC:
-        return BoundaryData(kind=PERIODIC_BC)
-    if kind == "ode_trace":
-        from .exact import ode_solution
-        t_q = float(spec.get("t_quench", 1.0))
-
-        def fn(xs, t, _tq=t_q, _m=model):
-            return np.full(xs.shape[0], ode_solution(_m, t - _tq))
-
-        return BoundaryData(kind=ANALYTIC_TRACE, value_fn=fn)
-    if kind == "radial_trace":
-        from .exact import radial_steady_coeff
-        c = radial_steady_coeff(model)
-        a = model.alpha
-
-        def fn(xs, t, _c=c, _a=a):
-            return _c * np.linalg.norm(xs, axis=-1) ** _a
-
-        return BoundaryData(kind=ANALYTIC_TRACE, value_fn=fn)
-    raise ValidationError(
-        f"[boundary] unknown kind {kind!r} (constant|periodic|ode_trace|radial_trace)")
+    kind, options = _named(section, registry, sections[section], "kind", default)
+    return partial(registry[kind], **options)
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -127,59 +140,32 @@ def parse_config_text(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ValidationError(f"config parse error: {exc}") from exc
+    sec = {name: {k: _parse_value(v) for k, v in parser.items(name)}
+           for name in parser.sections()}
+    unknown = [name for name in sec if name not in SECTIONS and not name.startswith("analysis.")]
+    if unknown:
+        raise ValidationError(f"unknown section [{unknown[0]}]; known: "
+                              f"{', '.join(SECTIONS)} and analysis.<tag>")
 
-    run = _section(parser, "run")
-    mode = run.get("mode", "solve")
-    if mode not in RUN_MODES:
-        raise ValidationError(f"[run] mode must be one of {RUN_MODES}, got {mode!r}")
-    seed = int(run.get("seed", 0))
-    output_dir = str(run.get("output_dir", "quenchlab-run"))
-
-    msec = _section(parser, "model")
-    model = ModelParams(p=float(_require(msec, "model", "p")),
-                        n=int(_require(msec, "model", "n")))
-
-    gsec = _section(parser, "grid")
-    grid = GridSpec(
-        origin=_require(gsec, "grid", "origin"),
-        extent=_require(gsec, "grid", "extent"),
-        cells=_require(gsec, "grid", "cells"),
-        time_start=float(_require(gsec, "grid", "time_start")),
-        time_end=float(_require(gsec, "grid", "time_end")),
-    )
-
-    ssec = _section(parser, "solver")
-    solver = SolverConfig(**{k: (int(v) if k in ("max_steps", "store_stride")
-                                 else bool(v) if k == "reaction_enabled" else float(v))
-                             for k, v in ssec.items()})
-
-    boundary = _build_boundary(_section(parser, "boundary"), model)
-    if mode == "solve" and boundary is None:
-        raise ValidationError("[boundary] section is required in solve mode")
-
-    analyses = []
-    for name in parser.sections():
-        if not name.startswith("analysis"):
-            continue
-        spec = _section(parser, name)
-        op = spec.pop("op", None)
-        if op not in KNOWN_OPS:
-            raise ValidationError(
-                f"[{name}] unknown analysis op {op!r}; known operations: {', '.join(KNOWN_OPS)}")
-        analyses.append(AnalysisRequest(name=name, op=op, options=spec))
-
+    run = _run(**check_options("run", _run, sec.get("run", {})))
+    model = ModelParams(**check_options("model", ModelParams, sec.get("model", {})))
+    boundary = _kind(sec, "boundary", BOUNDARY, "constant")
     cfg = RunConfig(
-        mode=mode, model=model, grid=grid, seed=seed, output_dir=output_dir,
-        solver=solver, boundary=boundary,
-        initial=_section(parser, "initial"),
-        synthetic=_section(parser, "synthetic"),
-        times=_section(parser, "times"),
-        field_path=run.get("field_path"),
-        analyses=analyses, raw_text=text,
-    )
-    if mode == "load" and not cfg.field_path:
+        model=model,
+        grid=GridSpec(**check_options("grid", GridSpec, sec.get("grid", {}))),
+        solver=SolverConfig(**check_options("solver", SolverConfig, sec.get("solver", {}))),
+        boundary=boundary(model) if boundary else None,
+        initial=_kind(sec, "initial", INITIAL, "constant") or INITIAL["constant"],
+        synthetic=_kind(sec, "synthetic", SYNTHETIC),
+        times=_kind(sec, "times", TIMES, "uniform"),
+        analyses=[AnalysisRequest(name, *_named(name, OPS, spec, "op"))
+                  for name, spec in sec.items() if name.startswith("analysis.")],
+        raw_text=text, **run)
+    if cfg.mode == "solve" and cfg.boundary is None:
+        raise ValidationError("[boundary] section is required in solve mode")
+    if cfg.mode == "load" and not cfg.field_path:
         raise ValidationError("[run] field_path is required in load mode")
-    if mode == "synthetic" and not cfg.synthetic:
+    if cfg.mode == "synthetic" and cfg.synthetic is None:
         raise ValidationError("[synthetic] section is required in synthetic mode")
     return cfg
 

@@ -13,20 +13,12 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .bumps import CutoffSpec, SpaceTimeBump, TestVectorField, TimeWindow
-from .config import RunConfig, build_times
+from .config import RunConfig
 from .errors import QuenchLabError, UsageError, ValidationError
-from .exact import ode_field, ode_solution, profile_field, radial_field, radial_steady
 from .field import SpaceTimeField, field_from_function
-from .geometry import ParabolicCylinder, ParabolicPoint
-from .monotonicity import (SlackModel, WeightSpec, almgren_scan, density_estimate,
-                           log_h_identity_error)
+from .ops import OPS as _HANDLERS   # indexed per call: a tracer may wrap its entries
 from .qlf import atomic_write, load_field, save_field
-from .residuals import two_valued_caloric_check
-from .rupture import (apriori_scaling_check, holder_seminorm, parabolic_box_dimension,
-                      rupture_set, rupture_threshold, slice_dimension)
-from .exact import self_similarity_residual
-from .solver import QuenchReport, comparison_guard, solve_until_quench
+from .solver import QuenchReport, solve_until_quench
 
 
 @dataclass
@@ -112,263 +104,16 @@ def _write_csv(path: str, header: str, rows: List[Tuple]) -> None:
 
 # -- field acquisition -----------------------------------------------------------
 
-def _initial_field(cfg: RunConfig) -> SpaceTimeField:
-    kind = cfg.initial.get("kind", "constant")
-    model, grid = cfg.model, cfg.grid
-    t0 = grid.time_start
-    if kind == "constant":
-        v = float(cfg.initial.get("value", 1.0))
-        fn = lambda xs, t: np.full(xs.shape[0], v)
-    elif kind == "ode":
-        off = float(cfg.initial.get("offset", -1.0))
-        fn = lambda xs, t: np.full(xs.shape[0], ode_solution(model, off))
-    elif kind == "radial":
-        fn = lambda xs, t: np.atleast_1d(radial_steady(model, xs))
-    elif kind == "dip":
-        base = float(cfg.initial.get("base", 1.0))
-        depth = float(cfg.initial.get("depth", 0.75))
-        width = float(cfg.initial.get("width", 0.35))
-        center = np.asarray(cfg.initial.get("center", [0.0] * grid.n), dtype=float)
-        fn = lambda xs, t: base - depth * np.exp(-np.sum((xs - center) ** 2, axis=-1) / width ** 2)
-    else:
-        raise ValidationError(f"[initial] unknown kind {kind!r} (constant|ode|radial|dip)")
-    return field_from_function(model, grid, [t0], fn)
-
-
-def _synthetic_field(cfg: RunConfig) -> SpaceTimeField:
-    times = build_times(cfg.times) if cfg.times else np.linspace(
-        cfg.grid.time_start, cfg.grid.time_end, 9)
-    kind = cfg.synthetic.get("kind")
-    if kind == "ode":
-        return ode_field(cfg.model, cfg.grid, times)
-    if kind == "radial_steady":
-        return radial_field(cfg.model, cfg.grid, times)
-    return profile_field(cfg.model, cfg.grid, times, kind,
-                         exponent=cfg.synthetic.get("exponent"))
-
-
 def acquire_field(cfg: RunConfig) -> Tuple[SpaceTimeField, Optional[QuenchReport]]:
     if cfg.mode == "solve":
-        initial = _initial_field(cfg)
+        initial = field_from_function(cfg.model, cfg.grid, [cfg.grid.time_start],
+                                      cfg.initial(cfg.model, cfg.grid))
         return solve_until_quench(initial, cfg.boundary, cfg.solver)
     if cfg.mode == "synthetic":
-        return _synthetic_field(cfg), None
+        times = cfg.times() if cfg.times else np.linspace(
+            cfg.grid.time_start, cfg.grid.time_end, 9)
+        return cfg.synthetic(cfg.model, cfg.grid, times), None
     return load_field(cfg.field_path), None
-
-
-# -- analysis handlers ------------------------------------------------------------
-
-def _point(opts, field: SpaceTimeField, key="point") -> ParabolicPoint:
-    if key in opts:
-        v = list(opts[key])
-        return ParabolicPoint(tuple(v[:-1]), float(v[-1]))
-    # default: the argmin node of the final slab at the final time
-    last = field.values[-1]
-    idx = np.unravel_index(int(np.argmin(last)), last.shape)
-    x = tuple(field.grid.axis_nodes(k)[idx[k]] for k in range(field.n))
-    return ParabolicPoint(x, float(field.times[-1]))
-
-
-def _weight(opts, field: SpaceTimeField) -> WeightSpec:
-    k = float(opts.get("truncation", 6.0))
-    if opts.get("eta", True) is False:
-        return WeightSpec(truncation_multiple=k, eta=None)
-    return WeightSpec(truncation_multiple=k,
-                      eta=CutoffSpec(center=None,
-                                     inner_radius=float(opts.get("eta_inner", 0.5)),
-                                     outer_radius=float(opts.get("eta_outer", 1.0))))
-
-
-def _run_density(field, opts, ctx):
-    x0 = _point(opts, field)
-    w = _weight(opts, field)
-    slack = SlackModel(tol_abs=float(opts.get("tol_abs", 1e-4)),
-                       tol_exp=float(opts.get("tol_exp", 1.0)))
-    theta, trace = density_estimate(
-        field, x0, w, float(opts["s_min"]), float(opts["s_max"]),
-        slack=slack, u_floor=opts.get("u_floor"))
-    result = {
-        "theta": theta, "diverging": trace.diverging,
-        "violations": len(trace.violations),
-        "tolerances": {"tol_abs": slack.tol_abs, "tol_exp": slack.tol_exp},
-        "truncation": {"multiple": w.truncation_multiple, "tail_bound": trace.tail_bound,
-                       "eta_used": trace.eta_used},
-        "point": list(x0.x) + [x0.t],
-    }
-    rows = list(zip(trace.s_samples.tolist(), trace.E_values.tolist(),
-                    trace.Ebar_values.tolist()))
-    return result, {"trace": ("s,E,Ebar", rows)}
-
-
-def _run_almgren(field, opts, ctx):
-    x0 = _point(opts, field)
-    w = _weight(opts, field)
-    if "s_grid" in opts:
-        grid = [float(v) for v in opts["s_grid"]]
-    else:
-        grid = np.geomspace(float(opts.get("s_min", 0.1)), float(opts.get("s_max", 1.0)),
-                            int(opts.get("num", 16))).tolist()
-    gamma_half = opts.get("gamma_half")
-    trace = almgren_scan(field, x0, w, grid,
-                         caloric=bool(opts.get("caloric", True)),
-                         gamma_half_reference=gamma_half,
-                         violation_tol=float(opts.get("violation_tol", 1e-6)))
-    valid = ~np.isnan(trace.N_values)
-    result = {
-        "N_min": float(np.min(trace.N_values[valid])) if valid.any() else None,
-        "N_max": float(np.max(trace.N_values[valid])) if valid.any() else None,
-        "violations": len(trace.violations),
-        "monotonicity_claimed": trace.monotonicity_claimed,
-        "max_reference_gap": trace.max_reference_gap,
-        "log_h_identity_error": log_h_identity_error(trace) if len(grid) >= 3 else None,
-        "truncation": {"multiple": w.truncation_multiple, "tail_bound": w.tail_bound(field.n)},
-        "point": list(x0.x) + [x0.t],
-    }
-    rows = list(zip(trace.s_samples.tolist(), trace.H_values.tolist(),
-                    trace.D_values.tolist(), trace.N_values.tolist()))
-    return result, {"trace": ("s,H,D,N", rows)}
-
-
-def _run_holder(field, opts, ctx):
-    exponent = float(opts.get("exponent", field.params.alpha))
-    est = holder_seminorm(field, exponent, int(opts.get("budget", 20000)),
-                          seed=ctx["seed"])
-    wa, wb = est.witness_pair
-    result = {
-        "exponent": est.exponent, "seminorm": est.seminorm,
-        "pairs_sampled": est.pairs_sampled,
-        "witness": [list(wa.x) + [wa.t], list(wb.x) + [wb.t]],
-        "tolerances": {"rng": "philox4x64-10", "seed": ctx["seed"]},
-    }
-    return result, {}
-
-
-def _auto_radii(field: SpaceTimeField, r_min: Optional[float] = None):
-    """Octaves from a quarter of the widest extent down to max(4h, r_min).
-
-    A ladder of fewer than two radii has no slope to fit, so it is refused.
-    """
-    h = field.h
-    top = max(field.grid.extent) / 4.0
-    lo = max(4.0 * h, r_min or 0.0)
-    radii = []
-    r = top
-    while r >= lo * (1 - 1e-12):
-        radii.append(r)
-        r /= 2.0
-    if len(radii) < 2:
-        raise UsageError(f"grid too coarse for a dimension ladder: fewer than two "
-                         f"octaves from r = {top:g} down to {lo:g}")
-    return radii
-
-
-def _run_rupture_dimension(field, opts, ctx):
-    tau = opts.get("tau", "auto")
-    kappa = float(opts.get("kappa", 4.0))
-    tau = rupture_threshold(field, kappa) if tau == "auto" else float(tau)
-    S = rupture_set(field, tau)
-    if len(S) == 0:
-        return {"threshold": tau, "points": 0, "fitted_dim": None}, {}
-    radii = [float(v) for v in opts["radii"]] if "radii" in opts else _auto_radii(
-        field, opts.get("r_min"))
-    fit = parabolic_box_dimension(S, radii)
-    result = {
-        "threshold": tau, "points": len(S),
-        "fitted_dim": fit.fitted_dim, "fit_residual": fit.residual,
-        "fit_range": list(fit.fit_range),
-        "tolerances": {"kappa": kappa, "octave_trim": 1},
-    }
-    csv = {"counts": ("r,count", list(zip(fit.radii.tolist(),
-                                          [int(c) for c in fit.counts])))}
-    slice_at = opts.get("slice_at")
-    if slice_at is not None:
-        t = float(field.times[-1]) if slice_at == "final" else float(slice_at)
-        sfit = slice_dimension(S, t, radii)
-        result["slice_time"] = t
-        result["slice_dim"] = sfit.fitted_dim
-        csv["slice_counts"] = ("r,count", list(zip(sfit.radii.tolist(),
-                                                   [int(c) for c in sfit.counts])))
-    return result, csv
-
-
-def _run_apriori(field, opts, ctx):
-    x0 = _point(opts, field)
-    quantity = opts.get("quantity", "u_inv_p")
-    radii = [float(v) for v in opts["radii"]]
-    fit = apriori_scaling_check(field, x0, quantity, radii, u_floor=opts.get("u_floor"))
-    n, p = field.params.n, field.params.p
-    expected = {"u_inv_p": n + 2.0 / (p + 1.0),
-                "energy": n + 4.0 / (p + 1.0),
-                "mass": n + 2.0 + 2.0 / (p + 1.0)}[quantity]
-    result = {
-        "quantity": quantity, "exponent": fit.fitted_dim, "expected": expected,
-        "gap": abs(fit.fitted_dim - expected), "fit_residual": fit.residual,
-        "point": list(x0.x) + [x0.t],
-    }
-    return result, {"integrals": ("r,count", list(zip(fit.radii.tolist(),
-                                                      fit.counts.tolist())))}
-
-
-def _centered_tests(field: SpaceTimeField, opts):
-    g = field.grid
-    c = np.asarray(opts.get("center", [g.origin[k] + 0.5 * g.extent[k]
-                                       for k in range(g.n)]), dtype=float)
-    r_out = float(opts.get("r_out", 0.25 * min(g.extent)))
-    span = float(field.times[-1] - field.times[0])
-    mid = 0.5 * float(field.times[0] + field.times[-1])
-    tw = TimeWindow(center=mid, inner=float(opts.get("t_inner", 0.2 * span)),
-                    outer=float(opts.get("t_outer", 0.4 * span)))
-    bump = SpaceTimeBump(space=CutoffSpec(tuple(c), 0.5 * r_out, r_out), time=tw)
-    ys = [TestVectorField(kind="coordinate_bump", bump=bump, axis=k)
-          for k in range(g.n)]
-    ys.append(TestVectorField(kind="radial_bump", bump=bump))
-    return [bump], ys
-
-
-def _run_two_valued(field, opts, ctx):
-    etas, ys = _centered_tests(field, opts)
-    reports = two_valued_caloric_check(field, etas, ys)
-    rel_tol = float(opts.get("rel_tol", 1e-3))
-    result = {"tolerances": {"rel_tol": rel_tol}}
-    for key, rep in reports.items():
-        ok = np.isfinite(rep.value) if key == "i" else (
-            rep.value >= -rel_tol * max(rep.scale, 1e-300) if key in ("ii",)
-            else (rep.value <= rel_tol * max(rep.scale, 1e-300) if key == "v"
-                  else rep.relative <= rel_tol))
-        result[f"cond_{key}"] = {"value": rep.value, "scale": rep.scale,
-                                 "relative": rep.relative, "pass": bool(ok)}
-    return result, {}
-
-
-def _run_guard(field, opts, ctx):
-    if ctx.get("boundary") is None:
-        raise UsageError("comparison_guard needs a [boundary] section")
-    g = comparison_guard(field, ctx["boundary"], ctx.get("solver"))
-    return {"guard": g, "tolerances": {"expected": "<= 1e-6 + C h^2"}}, {}
-
-
-def _run_self_similarity(field, opts, ctx):
-    x0 = _point(opts, field)
-    lambdas = [float(v) for v in opts.get("lambdas", [0.5, 2.0])]
-    wc = opts.get("window_center", list(x0.x))
-    wr = float(opts.get("window_radius", 0.25 * min(field.grid.extent)))
-    wt = float(opts.get("window_time", field.times[-1]))
-    window = ParabolicCylinder(ParabolicPoint(tuple(wc), wt), wr)
-    res = self_similarity_residual(field, x0, lambdas, window)
-    return {"residual": res, "lambdas": lambdas,
-            "point": list(x0.x) + [x0.t]}, {}
-
-
-_HANDLERS = {
-    "density_estimate": _run_density,
-    "almgren_scan": _run_almgren,
-    "holder_seminorm": _run_holder,
-    "rupture_dimension": _run_rupture_dimension,
-    "apriori_scaling": _run_apriori,
-    "two_valued_check": _run_two_valued,
-    "comparison_guard": _run_guard,
-    "self_similarity": _run_self_similarity,
-}
 
 
 def _analysis_workers() -> int:
@@ -410,7 +155,7 @@ def run_pipeline(config: RunConfig, raise_errors: bool = True) -> Report:
     def run_one(item):
         index, req = item
         try:
-            result, csvs = _HANDLERS[req.op](field, dict(req.options), ctx)
+            result, csvs = _HANDLERS[req.op](field, ctx, **req.options)
             return index, req, "ok", result, csvs, None
         except QuenchLabError as exc:
             return index, req, "error", {"error_kind": type(exc).__name__,

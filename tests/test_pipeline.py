@@ -353,3 +353,26 @@ def test_bad_thread_count_rejected_before_acquisition(tmp_path, monkeypatch, raw
         ql.run_pipeline(ql.parse_config_text(SYNTH.format(out=out)))
     assert cli_main(["simulate", "--config", str(ini)]) == 2
     assert not (out / "field.qlf").exists()
+
+
+def test_analyze_refuses_a_config_with_two_sections_for_the_op(tmp_path, capsys):
+    # merging them would run one op on keys drawn from both sections
+    field = tmp_path / "field.qlf"
+    mp = ql.ModelParams(p=3.0, n=1)
+    grid = ql.GridSpec(origin=[-1.0], extent=[2.0], cells=[32], time_start=-1.0, time_end=0.0)
+    ql.save_field(ql.profile_field(mp, grid, [-1.0, -0.5, 0.0], "abs_x1"), field)
+    ini = tmp_path / "two.ini"
+    ini.write_text(SYNTH.format(out=tmp_path / "unused") + """
+[analysis.mass]
+op = apriori_scaling
+quantity = "mass"
+radii = [0.5, 0.25]
+
+[analysis.energy]
+op = apriori_scaling
+quantity = "energy"
+radii = [0.4, 0.2]
+""")
+    assert cli_main(["analyze", "--field", str(field), "--op", "apriori_scaling",
+                     "--config", str(ini)]) == 2
+    assert "[analysis.mass], [analysis.energy]" in capsys.readouterr().err
