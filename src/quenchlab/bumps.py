@@ -142,24 +142,15 @@ class TimeWindow:
 
 @dataclass(frozen=True)
 class SpaceTimeBump:
-    """psi(x, t) = eta(x) * w(t): the scalar test function of the weak forms."""
+    """psi(x, t) = eta(x) * w(t): the scalar test function of the weak forms.
+
+    Being separable, psi is evaluated as eta's arrays on fixed points (once)
+    times w(t) (once per time): psi = eta w, psi_t = eta w', grad psi =
+    grad eta w, Lap psi = Lap eta w, each product in that operand order.
+    """
 
     space: CutoffSpec
     time: TimeWindow
-
-    def value(self, xs, t):
-        return self.space.value(xs) * self.time.value(t)
-
-    def dt(self, xs, t):
-        return self.space.value(xs) * self.time.d1(t)
-
-    def grad(self, xs, t):
-        w = self.time.value(t)
-        g = self.space.grad(xs)
-        return g * np.asarray(w)[..., None] if np.ndim(w) else g * w
-
-    def laplacian(self, xs, t, n: int):
-        return self.space.laplacian(xs, n) * self.time.value(t)
 
     def support_box(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
         c = np.asarray(self.space.center)
@@ -198,38 +189,26 @@ class TestVectorField:
         if self.kind not in (COORDINATE, RADIAL):
             raise ValidationError(f"unknown vector-field kind {self.kind!r}")
 
-    def value(self, xs, t):
-        xs = np.asarray(xs)
-        psi = self.bump.value(xs, t)
-        if self.kind == COORDINATE:
-            out = np.zeros(xs.shape)
-            out[..., self.axis] = psi
-            return out
-        return (xs - np.asarray(self.bump.space.center)) * psi[..., None]
+    def at(self, xs, eta, grad_eta, w):
+        """Y, div Y and DY[i, j] = dY_i/dx_j (shape (..., n, n)) at the points xs.
 
-    def divergence(self, xs, t):
-        xs = np.asarray(xs)
-        if self.kind == COORDINATE:
-            return self.bump.grad(xs, t)[..., self.axis]
+        eta and grad_eta are the bump's spatial factor at xs and w its time
+        factor, so psi = eta w and grad psi = grad_eta w.
+        """
+        psi = eta * w
+        g = grad_eta * w
         n = xs.shape[-1]
-        d = xs - np.asarray(self.bump.space.center)
-        return n * self.bump.value(xs, t) + np.sum(d * self.bump.grad(xs, t), axis=-1)
-
-    def jacobian(self, xs, t):
-        """DY[i, j] = dY_i/dx_j at each point, shape (..., n, n)."""
-        xs = np.asarray(xs)
-        n = xs.shape[-1]
-        g = self.bump.grad(xs, t)
-        out = np.zeros(xs.shape + (n,))
+        jac = np.zeros(xs.shape + (n,))
         if self.kind == COORDINATE:
-            out[..., self.axis, :] = g
-            return out
-        psi = self.bump.value(xs, t)
+            y = np.zeros(xs.shape)
+            y[..., self.axis] = psi
+            jac[..., self.axis, :] = g
+            return y, g[..., self.axis], jac
         d = xs - np.asarray(self.bump.space.center)
         for i in range(n):
-            out[..., i, :] = d[..., i, None] * g
-            out[..., i, i] += psi
-        return out
+            jac[..., i, :] = d[..., i, None] * g
+            jac[..., i, i] += psi
+        return d * psi[..., None], n * psi + np.sum(d * g, axis=-1), jac
 
     def support_box(self):
         return self.bump.support_box()

@@ -103,8 +103,9 @@ def _synthetic_abs_x1_pow(model, grid, times, *, exponent: float):
     return profile_field(model, grid, times, "abs_x1_pow", exponent=exponent)
 
 
-def _synthetic_constant(model, grid, times, *, exponent: Optional[float] = None):
-    return profile_field(model, grid, times, "constant", exponent=exponent)
+def _synthetic_constant(model, grid, times, *, value: float = 1.0):
+    # profile_field takes the constant through its exponent parameter
+    return profile_field(model, grid, times, "constant", exponent=value)
 
 
 SYNTHETIC = {"ode": ode_field, "radial_steady": radial_field,

@@ -5,12 +5,16 @@ cell.  Values and gradients at cell centers are those of the multilinear
 interpolant, so fields that are polynomial of degree one per cell and axis
 (|x1|, |x1 x2| on aligned grids, ...) are integrated without interpolation
 error in u itself.  Every space-time integral (weak forms, scaling laws)
-goes through `integrate`, which streams `spacetime_blocks` one stored time
-interval at a time.
+goes through `integrate`, which takes several integrands, each with its own
+box, over one shared time window.  It streams `spacetime_blocks` one stored
+time interval at a time, builds each interval's block once over the union of
+the boxes and hands every integrand its slice.  An integrand's `prepare`
+step runs once per window on its cell centres, so spatial factors (a test
+function's eta, grad eta, Lap eta) are not re-evaluated per block.
 """
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +71,11 @@ def _axis_windows(grid: GridSpec, box: Optional[Tuple]) -> List[Tuple[int, int]]
     return ranges
 
 
+def cell_points(centers: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """Cell-center coordinates from per-axis centers, shape (len(c) for c) + (n,)."""
+    return np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1)
+
+
 @dataclass
 class SlabCells:
     """Cell-center data of one spatial slab."""
@@ -78,7 +87,7 @@ class SlabCells:
 
     def points(self) -> np.ndarray:
         """Cell-center coordinates, shape u.shape + (n,)."""
-        return np.stack(np.meshgrid(*self.centers, indexing="ij"), axis=-1)
+        return cell_points(self.centers)
 
 
 def slab_cells(field: SpaceTimeField, t: float, box=None) -> SlabCells:
@@ -175,29 +184,75 @@ class Integral:
         return self.excluded / self.measure if self.measure > 0 else 0.0
 
 
-def integrate(field: SpaceTimeField, integrand, t_lo=None, t_hi=None, box=None,
-              floor: Optional[float] = None) -> Integral:
-    """Integrate over the space-time cells of `spacetime_blocks`, block by block.
+@dataclass(frozen=True)
+class Integrand:
+    """One integrand of `integrate`: its spatial box and how to evaluate it.
 
-    integrand(blk, pts, ok) returns (terms, support): a list of signed arrays
-    over the block's cells and a boolean support mask (None: every cell).  pts
-    holds the cell centers with shape blk.u.shape + (n,); ok is u >= floor,
-    or None without a floor.  Every cell carries the weight w = dt * h^n.  The
-    excluded measure counts support cells below the floor.
+    terms(blk, prep, ok) returns (terms, support): a list of signed arrays over
+    the cells of blk and a boolean support mask (None: every cell).  blk holds
+    the integrand's slice of the interval's block; ok is blk.u >= floor, or
+    None without a floor.  prepare(pts) runs once per window on the cell
+    centers (shape blk.u.shape + (n,)) and returns prep; without it prep is
+    pts.  box None covers the whole grid.
     """
-    value = scale = measure = excluded = 0.0
-    cells = 0
-    pts = None
-    for blk in spacetime_blocks(field, t_lo, t_hi, box=box):
-        if pts is None:   # every block of one window shares its cell centers
-            pts = np.stack(np.meshgrid(*blk.centers, indexing="ij"), axis=-1)
-        ok = None if floor is None else blk.u >= floor
-        terms, support = integrand(blk, pts, ok)
+
+    terms: Callable[[SpaceTimeBlock, Any, Optional[np.ndarray]],
+                    Tuple[List[np.ndarray], Optional[np.ndarray]]]
+    box: Optional[Tuple] = None
+    prepare: Optional[Callable[[np.ndarray], Any]] = None
+
+
+def _union_box(boxes: List[Optional[Tuple]]) -> Optional[Tuple]:
+    """The smallest box holding every box; None if one of them is None."""
+    if any(b is None for b in boxes):
+        return None
+    return (tuple(np.min([b[0] for b in boxes], axis=0)),
+            tuple(np.max([b[1] for b in boxes], axis=0)))
+
+
+def integrate(field: SpaceTimeField, integrands: Sequence[Integrand], t_lo=None, t_hi=None,
+              floor: Optional[float] = None) -> List[Integral]:
+    """Integrate each integrand over its box and the shared window [t_lo, t_hi].
+
+    Each stored interval's block is built once, over the union of the boxes,
+    and every integrand gets its slice of it; values are those of the block
+    built over its own box, so each result equals a one-integrand call bit for
+    bit.  Every cell carries the weight w = dt * h^n, and per integrand the
+    sums run in block order.  The excluded measure counts support cells below
+    the floor.  Returns one Integral per integrand, in order.
+    """
+    g = field.grid
+    out = [Integral(0.0, 0.0, 0, 0.0, 0.0) for _ in integrands]
+    ranges = [_axis_windows(g, it.box) for it in integrands]
+    live = [i for i, r in enumerate(ranges) if all(b > a for a, b in r)]
+    if not live:
+        return out
+    union = _union_box([integrands[i].box for i in live])
+    outer = _axis_windows(g, union)
+    slices = {i: tuple(slice(a - o, b - o) for (a, b), (o, _) in zip(ranges[i], outer))
+              for i in live}
+    centers = {i: tuple(g.axis_cell_centers(k)[a:b] for k, (a, b) in enumerate(ranges[i]))
+               for i in live}
+    preps = None
+    for blk in spacetime_blocks(field, t_lo, t_hi, box=union):
+        if preps is None:   # every block of one window shares its cell centers
+            preps = {}
+            for i in live:
+                pts = cell_points(centers[i])
+                prepare = integrands[i].prepare
+                preps[i] = pts if prepare is None else prepare(pts)
         w = blk.dt * blk.volume
-        value += w * float(sum(terms).sum())
-        scale += w * float(sum(np.abs(t) for t in terms).sum())
-        cells += int(blk.u.size)
-        measure += w * (blk.u.size if support is None else float(support.sum()))
-        if ok is not None:
-            excluded += w * float((~ok if support is None else support & ~ok).sum())
-    return Integral(value, scale, cells, measure, excluded)
+        for i in live:
+            sl = slices[i]
+            sub = SpaceTimeBlock(blk.t_mid, blk.dt, centers[i], blk.u[sl],
+                                 [gk[sl] for gk in blk.grad], blk.dtu[sl], blk.volume)
+            ok = None if floor is None else sub.u >= floor
+            terms, support = integrands[i].terms(sub, preps[i], ok)
+            res = out[i]
+            res.value += w * float(sum(terms).sum())
+            res.scale += w * float(sum(np.abs(t) for t in terms).sum())
+            res.cells += int(sub.u.size)
+            res.measure += w * (sub.u.size if support is None else float(support.sum()))
+            if ok is not None:
+                res.excluded += w * float((~ok if support is None else support & ~ok).sum())
+    return out

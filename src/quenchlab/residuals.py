@@ -3,23 +3,28 @@
 Each operation turns a defining integral identity (distributional equation,
 stationarity, localized energy inequality, the five conditions of a
 stationary two-valued caloric function) into a quadrature residual with a
-scale for relative assessment.  Every space-time integral is one call of
-`quadrature.integrate`.  Conditions (ii), (iv) and (v) of the two-valued check
-reuse the single-identity functions without their u-power terms:
--distributional_residual, 2 x stationary_residual and
-2 x energy_inequality_defect.  Nothing here proves a field *is* a weak
-solution; the reports only falsify up to tolerance.
+scale for relative assessment.  Each identity is one `quadrature.Integrand`:
+its prepare step evaluates the test function's spatial factor (eta, grad eta,
+Lap eta) once per time window, and its per-block terms multiply that by the
+time factor w(t), evaluated once per block for each distinct window.  The
+single-identity functions are one-integrand calls of `quadrature.integrate`;
+the two-valued check integrates conditions (ii)-(v) in one call per distinct
+time window, so each stored interval's block is built once for all of their
+test functions.  (ii), (iv) and (v) reuse the single-identity integrands
+without their u-power terms: -distributional_residual, 2 x
+stationary_residual and 2 x energy_inequality_defect.  Nothing here proves a
+field *is* a weak solution; the reports only falsify up to tolerance.
 """
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bumps import CutoffSpec, SpaceTimeBump, TestVectorField, TimeWindow
 from .errors import DomainError, SingularIntegrandError, UsageError
 from .field import SpaceTimeField
-from .quadrature import integrate, slab_cells
+from .quadrature import Integral, Integrand, integrate, slab_cells
 
 _EXCLUDED_FRACTION_LIMIT = 0.25
 
@@ -41,6 +46,10 @@ class ResidualReport:
         return abs(self.value) / self.scale if self.scale > 0 else abs(self.value)
 
 
+def _report(res: Integral) -> ResidualReport:
+    return ResidualReport(res.value, res.scale, res.cells, res.excluded_fraction)
+
+
 def default_u_floor(field: SpaceTimeField) -> float:
     """Singular-cell floor h^alpha: cells below it leave the u-power integrals."""
     return field.h ** field.params.alpha
@@ -49,6 +58,42 @@ def default_u_floor(field: SpaceTimeField) -> float:
 def _require_inside(field: SpaceTimeField, bump: SpaceTimeBump):
     if not bump.inside(field.grid, field.times[0], field.times[-1]):
         raise DomainError("test function support must sit inside the field domain")
+
+
+def _require_vector_inside(field: SpaceTimeField, Y: TestVectorField):
+    box = Y.support_box()
+    t_lo, t_hi = Y.time_support()
+    if box is None or t_lo is None:
+        raise UsageError("vector field must declare its support")
+    lo, hi = box
+    g = field.grid
+    if (np.any(np.asarray(lo) < np.asarray(g.origin)) or
+            np.any(np.asarray(hi) > np.asarray(g.upper())) or
+            t_lo < field.times[0] or t_hi > field.times[-1]):
+        raise DomainError("vector field support must sit inside the field domain")
+
+
+class _TimeFactors:
+    """w(t) and w'(t) of each distinct time window, evaluated once per block time.
+
+    The integrands of one pass share an instance; windows are compared by
+    value, and only the latest block time is kept.
+    """
+
+    def __init__(self):
+        self.t, self.at = None, {}
+
+    def __call__(self, window: TimeWindow, t: float):
+        if t != self.t:
+            self.t, self.at = t, {}
+        if window not in self.at:
+            self.at[window] = (window.value(t), window.d1(t))
+        return self.at[window]
+
+
+def _eta_and_grad(bump: SpaceTimeBump):
+    """prepare step: the cell centers, eta and grad eta of the bump there."""
+    return lambda pts: (pts, bump.space.value(pts), bump.space.grad(pts))
 
 
 def distributional_residual(field: SpaceTimeField, psi: SpaceTimeBump,
@@ -64,7 +109,9 @@ def distributional_residual(field: SpaceTimeField, psi: SpaceTimeBump,
     if float(field.values.min()) < 0:
         raise UsageError("distributional residual requires u >= 0")
     floor = default_u_floor(field) if u_floor is None else u_floor
-    rep = _distributional(field, psi, floor if potential else None)
+    res, = integrate(field, [_distributional(field, psi, _TimeFactors())],
+                     *psi.time_support(), floor=floor if potential else None)
+    rep = _report(res)
     if rep.excluded_fraction > _EXCLUDED_FRACTION_LIMIT:
         raise SingularIntegrandError(
             f"u vanishes on {rep.excluded_fraction:.0%} of the test support; "
@@ -73,22 +120,22 @@ def distributional_residual(field: SpaceTimeField, psi: SpaceTimeBump,
 
 
 def _distributional(field: SpaceTimeField, psi: SpaceTimeBump,
-                    floor: Optional[float]) -> ResidualReport:
-    """distributional_residual without its checks; no u^-p term without a floor."""
-    p = field.params.p
+                    times: _TimeFactors) -> Integrand:
+    """distributional_residual's integrand; no u^-p term without a floor."""
+    n, p = field.n, field.params.p
 
-    def integrand(blk, pts, ok):
-        t = blk.t_mid
-        terms = [blk.u * (-psi.dt(pts, t) - psi.laplacian(pts, t, field.n))]
+    def terms(blk, space, ok):
+        eta, lap = space
+        w, w1 = times(psi.time, blk.t_mid)
+        out = [blk.u * (-(eta * w1) - lap * w)]
         if ok is None:
-            return terms, None
-        psiv = psi.value(pts, t)
-        terms.append(np.where(ok, np.where(ok, blk.u, 1.0) ** (-p), 0.0) * psiv)
-        return terms, psiv != 0.0
+            return out, None
+        psiv = eta * w
+        out.append(np.where(ok, np.where(ok, blk.u, 1.0) ** (-p), 0.0) * psiv)
+        return out, psiv != 0.0
 
-    t_lo, t_hi = psi.time_support()
-    res = integrate(field, integrand, t_lo, t_hi, box=psi.support_box(), floor=floor)
-    return ResidualReport(res.value, res.scale, res.cells, res.excluded_fraction)
+    return Integrand(terms, psi.support_box(),
+                     lambda pts: (psi.space.value(pts), psi.space.laplacian(pts, n)))
 
 
 def _dy_quadratic(jac: np.ndarray, grad: List[np.ndarray]) -> np.ndarray:
@@ -122,30 +169,28 @@ def stationary_residual(field: SpaceTimeField, Y: TestVectorField,
     refinement.  The support of Y must sit inside the field domain: clipping
     it would drop the boundary terms of the identity.
     """
-    box = Y.support_box()
-    t_lo, t_hi = Y.time_support()
-    if box is None or t_lo is None:
-        raise UsageError("vector field must declare its support")
-    lo, hi = box
-    g = field.grid
-    if (np.any(np.asarray(lo) < np.asarray(g.origin)) or
-            np.any(np.asarray(hi) > np.asarray(g.upper())) or
-            t_lo < field.times[0] or t_hi > field.times[-1]):
-        raise DomainError("vector field support must sit inside the field domain")
+    _require_vector_inside(field, Y)
     floor = default_u_floor(field) if u_floor is None else u_floor
-    p = field.params.p
-
-    def integrand(blk, pts, ok):
-        t = blk.t_mid
-        yv = Y.value(pts, t)
-        return [_energy_density(blk.u, blk.grad, ok, p) * Y.divergence(pts, t),
-                -_dy_quadratic(Y.jacobian(pts, t), blk.grad),
-                -(blk.dtu * sum(blk.grad[k] * yv[..., k] for k in range(field.n)))], None
-
-    res = integrate(field, integrand, t_lo, t_hi, box=box, floor=floor if potential else None)
+    res, = integrate(field, [_stationary(field, Y, _TimeFactors())], *Y.time_support(),
+                     floor=floor if potential else None)
     if res.excluded_fraction > _EXCLUDED_FRACTION_LIMIT:
         raise SingularIntegrandError("u vanishes on too much of the vector field support")
-    return ResidualReport(res.value, res.scale, res.cells, res.excluded_fraction)
+    return _report(res)
+
+
+def _stationary(field: SpaceTimeField, Y: TestVectorField, times: _TimeFactors) -> Integrand:
+    """stationary_residual's integrand; no u-power term without a floor."""
+    p = field.params.p
+
+    def terms(blk, space, ok):
+        pts, eta, grad_eta = space
+        w, _ = times(Y.bump.time, blk.t_mid)
+        yv, div, jac = Y.at(pts, eta, grad_eta, w)
+        return [_energy_density(blk.u, blk.grad, ok, p) * div,
+                -_dy_quadratic(jac, blk.grad),
+                -(blk.dtu * sum(blk.grad[k] * yv[..., k] for k in range(field.n)))], None
+
+    return Integrand(terms, Y.support_box(), _eta_and_grad(Y.bump))
 
 
 def energy_inequality_defect(field: SpaceTimeField, eta: SpaceTimeBump,
@@ -165,29 +210,42 @@ def energy_inequality_defect(field: SpaceTimeField, eta: SpaceTimeBump,
     """
     if not (field.times[0] - 1e-12 <= t1 < t2 <= field.times[-1] + 1e-12):
         raise DomainError("need t1 < t2 within the stored time range")
-    floor = default_u_floor(field) if u_floor is None else u_floor
+    floor = (default_u_floor(field) if u_floor is None else u_floor) if potential else None
+    res, = integrate(field, [_energy(field, eta, _TimeFactors())], t1, t2, floor=floor)
+    return _energy_report(field, eta, t1, t2, floor, res)
+
+
+def _energy(field: SpaceTimeField, eta: SpaceTimeBump, times: _TimeFactors) -> Integrand:
+    """The time integral of energy_inequality_defect; no u-power term without a floor."""
     p = field.params.p
-    box = eta.support_box()
 
-    def side(t):
-        cells = slab_cells(field, t, box=box)
-        pts = cells.points()
-        ok = cells.u >= floor if potential else None
-        density = _energy_density(cells.u, cells.grad, ok, p)
-        return cells.volume * float((density * eta.value(pts, t) ** 2).sum())
-
-    def integrand(blk, pts, ok):
-        t = blk.t_mid
-        ev = eta.value(pts, t)
-        eg = eta.grad(pts, t)
+    def terms(blk, space, ok):
+        _, eta_x, grad_eta = space
+        w, w1 = times(eta.time, blk.t_mid)
+        ev = eta_x * w
+        eg = grad_eta * w
         gdot = sum(blk.grad[k] * eg[..., k] for k in range(field.n))
         # the term order of two-valued condition (v), which is 2 x this bit for bit
         return [-(blk.dtu ** 2) * ev ** 2,
-                2.0 * _energy_density(blk.u, blk.grad, ok, p) * ev * eta.dt(pts, t),
+                2.0 * _energy_density(blk.u, blk.grad, ok, p) * ev * (eta_x * w1),
                 -2.0 * blk.dtu * ev * gdot], ev != 0.0
 
+    return Integrand(terms, eta.support_box(), _eta_and_grad(eta))
+
+
+def _energy_report(field: SpaceTimeField, eta: SpaceTimeBump, t1: float, t2: float,
+                   floor: Optional[float], res: Integral) -> ResidualReport:
+    """The defect from the slab sides at t1, t2 and the time integral res."""
+    p = field.params.p
+
+    def side(t):
+        cells = slab_cells(field, t, box=eta.support_box())
+        ok = None if floor is None else cells.u >= floor
+        density = _energy_density(cells.u, cells.grad, ok, p)
+        ev = eta.space.value(cells.points()) * eta.time.value(t)
+        return cells.volume * float((density * ev ** 2).sum())
+
     s1, s2 = side(t1), side(t2)
-    res = integrate(field, integrand, t1, t2, box=box, floor=floor if potential else None)
     return ResidualReport(s2 - s1 - res.value, abs(s1) + abs(s2) + res.scale, res.cells,
                           res.excluded_fraction)
 
@@ -249,54 +307,79 @@ def two_valued_caloric_check(field: SpaceTimeField,
 
     (ii) is -distributional_residual, (iv) 2 x stationary_residual and (v)
     2 x energy_inequality_defect over eta's time support, all without u-power
-    terms; every eta and Y must sit inside the field domain.  Returns one
-    report per condition; (ii) reports the worst case over the bump
-    dictionary, (iii)-(v) over the supplied test functions.  No p-power terms
-    appear in any of these, so the reports scale exactly (by c for (ii), by
-    c^2 for the quadratic ones) when the field is scaled by c.
+    terms; every eta and Y must sit inside the field domain.  (i) is one pass
+    over the full stored range; (ii)-(v) share one pass per distinct time
+    support of their test functions.  Returns one report per condition; (ii)
+    reports the worst case over the bump dictionary, (iii)-(v) over the
+    supplied test functions.  No p-power terms appear in any of these, so the
+    reports scale exactly (by c for (ii), by c^2 for the quadratic ones) when
+    the field is scaled by c.
     """
     if float(field.values.min()) < 0:
         raise UsageError("two-valued caloric checks require u >= 0 on the grid")
     bumps = list(nonneg_bumps) if nonneg_bumps is not None else default_bump_dictionary(field)
     if not (etas and Ys and bumps):
         raise UsageError("every condition needs at least one test function")
+    for eta in etas:
+        _require_inside(field, eta)
+    for Y in Ys:
+        _require_vector_inside(field, Y)
     reports: Dict[str, ResidualReport] = {}
 
     # (i) finiteness over the full stored domain
-    full = integrate(field, lambda blk, pts, ok: (
-        [sum(gk ** 2 for gk in blk.grad), blk.dtu ** 2], None))
+    full, = integrate(field, [Integrand(lambda blk, pts, ok: (
+        [sum(gk ** 2 for gk in blk.grad), blk.dtu ** 2], None))])
     reports["i"] = ResidualReport(full.value, max(full.measure, 1e-300), full.cells,
                                   detail={"finite": bool(np.isfinite(full.value))})
 
+    times = _TimeFactors()
+    jobs = ([(psi.time_support(), _distributional(field, psi, times)) for psi in bumps]
+            + [(eta.time_support(), _contact(field, eta, times)) for eta in etas]
+            + [(Y.time_support(), _stationary(field, Y, times)) for Y in Ys]
+            + [(eta.time_support(), _energy(field, eta, times)) for eta in etas])
+    res = _integrate_by_window(field, jobs)
+    nb, ne = len(bumps), len(etas)
+    ii, iii, iv, v = res[:nb], res[nb:nb + ne], res[nb + ne:-ne], res[-ne:]
+
     # (ii) distributional subcaloricity against a declared dictionary
-    worst = max((_distributional(field, psi, None) for psi in bumps), key=lambda r: r.value)
-    reports["ii"] = ResidualReport(-worst.value, worst.scale, worst.quadrature_cells,
+    worst = max(ii, key=lambda r: r.value)
+    reports["ii"] = ResidualReport(-worst.value, worst.scale, worst.cells,
                                    detail={"dictionary_size": len(bumps),
                                            "one_sided": True})
-
-    # (iii) contact identity, worst over etas
-    def contact(eta):
-        _require_inside(field, eta)
-
-        def integrand(blk, pts, ok):
-            t = blk.t_mid
-            ev = eta.value(pts, t)
-            eg = eta.grad(pts, t)
-            gdot = sum(blk.grad[k] * eg[..., k] for k in range(field.n))
-            return [blk.dtu * blk.u * ev ** 2,
-                    sum(gk ** 2 for gk in blk.grad) * ev ** 2,
-                    2.0 * ev * blk.u * gdot], None
-
-        t_lo, t_hi = eta.time_support()
-        res = integrate(field, integrand, t_lo, t_hi, box=eta.support_box())
-        return ResidualReport(res.value, res.scale, res.cells)
-
-    reports["iii"] = _worst([contact(eta) for eta in etas])
-
-    # (iv) stationarity identity, worst over Ys
-    reports["iv"] = _worst([stationary_residual(field, Y, potential=False) for Y in Ys], 2.0)
-
-    # (v) localized energy inequality (gradient-only form), worst over etas
-    reports["v"] = _worst([energy_inequality_defect(field, eta, *eta.time_support(),
-                                                    potential=False) for eta in etas], 2.0)
+    # (iii) contact identity, (iv) stationarity identity, (v) localized energy
+    # inequality (gradient-only form): worst over the etas or the Ys
+    reports["iii"] = _worst([_report(r) for r in iii])
+    reports["iv"] = _worst([_report(r) for r in iv], 2.0)
+    reports["v"] = _worst([_energy_report(field, eta, *eta.time_support(), None, r)
+                           for eta, r in zip(etas, v)], 2.0)
     return reports
+
+
+def _contact(field: SpaceTimeField, eta: SpaceTimeBump, times: _TimeFactors) -> Integrand:
+    """Condition (iii): u_t u eta^2 + |grad u|^2 eta^2 + 2 eta u (grad u . grad eta)."""
+
+    def terms(blk, space, ok):
+        _, eta_x, grad_eta = space
+        w, _ = times(eta.time, blk.t_mid)
+        ev = eta_x * w
+        eg = grad_eta * w
+        gdot = sum(blk.grad[k] * eg[..., k] for k in range(field.n))
+        return [blk.dtu * blk.u * ev ** 2,
+                sum(gk ** 2 for gk in blk.grad) * ev ** 2,
+                2.0 * ev * blk.u * gdot], None
+
+    return Integrand(terms, eta.support_box(), _eta_and_grad(eta))
+
+
+def _integrate_by_window(field: SpaceTimeField,
+                         jobs: List[Tuple[Tuple[float, float], Integrand]]) -> List[Integral]:
+    """Integrate each (time support, integrand) job, one `integrate` pass per
+    distinct support; the results in job order."""
+    passes: Dict[Tuple[float, float], List[int]] = {}
+    for i, (support, _) in enumerate(jobs):
+        passes.setdefault(support, []).append(i)
+    out: List[Integral] = [None] * len(jobs)
+    for (t_lo, t_hi), idx in passes.items():
+        for i, res in zip(idx, integrate(field, [jobs[i][1] for i in idx], t_lo, t_hi)):
+            out[i] = res
+    return out

@@ -16,7 +16,7 @@ from .exact import BlowupSpec, rescale
 from .field import SpaceTimeField
 from .geometry import ParabolicPoint
 from .grid import GridSpec
-from .quadrature import integrate
+from .quadrature import Integrand, integrate
 
 _REFINE_CELLS = 4
 _BLOCK = 1024
@@ -320,8 +320,7 @@ def apriori_scaling_check(field: SpaceTimeField, X0: ParabolicPoint, quantity: s
     floor = field.h ** field.params.alpha if u_floor is None else u_floor
     c = np.asarray(X0.x)
 
-    def integrand(blk, pts, ok):
-        inside = np.sum((pts - c) ** 2, axis=-1) <= rad ** 2
+    def terms(blk, inside, ok):
         if quantity == "mass":
             return [blk.u * inside], inside
         safe_u = np.where(ok, blk.u, 1.0)
@@ -333,9 +332,11 @@ def apriori_scaling_check(field: SpaceTimeField, X0: ParabolicPoint, quantity: s
 
     vals = []
     for rad in r:
-        box = (tuple(c - rad), tuple(c + rad))
-        res = integrate(field, integrand, X0.t - rad ** 2, X0.t, box=box,
-                        floor=None if quantity == "mass" else floor)
+        # the ball of Q_r is spatial, so it is prepared once per window
+        ball = Integrand(terms, (tuple(c - rad), tuple(c + rad)),
+                         lambda pts, rad=rad: np.sum((pts - c) ** 2, axis=-1) <= rad ** 2)
+        res, = integrate(field, [ball], X0.t - rad ** 2, X0.t,
+                         floor=None if quantity == "mass" else floor)
         if res.excluded_fraction > 0.01:
             raise AccuracyError(
                 f"singular cells carry {res.excluded_fraction:.1%} of Q_r at r={rad:g}")

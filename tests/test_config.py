@@ -6,6 +6,7 @@ import re
 import string
 from typing import get_args
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ import quenchlab as ql
 from quenchlab.cli import main as cli_main
 from quenchlab.errors import ValidationError
 from quenchlab.ops import BOUNDARY, INITIAL, OPS, SYNTHETIC, TIMES
+from quenchlab.pipeline import acquire_field
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -138,6 +140,14 @@ def test_unknown_or_ill_typed_option_rejected_at_load(case):
     entry, name, value = case
     with pytest.raises(ValidationError, match=re.escape(f"[{entry[0]}]") + ".*" + name):
         ql.parse_config_text(_config(entry, {name: json.dumps(value)}))
+
+
+def test_synthetic_constant_takes_value_not_exponent():
+    text = BASE.format(out="unused") + TIMES_SECTION + "\n[synthetic]\nkind = constant\n"
+    field, _ = acquire_field(ql.parse_config_text(text + "value = 2.5\n"))
+    assert np.all(field.values == 2.5)
+    with pytest.raises(ValidationError, match=r"\[synthetic\].*exponent"):
+        ql.parse_config_text(text + "exponent = 2.5\n")
 
 
 def _perfbench_workloads():

@@ -1,8 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quenchlab as ql
-from quenchlab.quadrature import cell_gradient, integrate, spacetime_blocks
+import quenchlab.quadrature as quadrature
+from quenchlab.quadrature import Integrand, cell_gradient, integrate, spacetime_blocks
 
 
 def constant_field(value, times):
@@ -14,7 +18,7 @@ def constant_field(value, times):
 
 def test_integrate_sums_terms_weights_and_support():
     f = constant_field(0.5, [0.0, 0.1, 1.0])
-    res = integrate(f, lambda blk, pts, ok: ([blk.u, -2.0 * blk.u], None))
+    res, = integrate(f, [Integrand(lambda blk, pts, ok: ([blk.u, -2.0 * blk.u], None))])
     # value sums signed terms, scale their magnitudes, over |box| x duration = 4
     assert res.value == pytest.approx(-2.0, rel=1e-14)
     assert res.scale == pytest.approx(6.0, rel=1e-14)
@@ -25,10 +29,63 @@ def test_integrate_sums_terms_weights_and_support():
     def left_half(blk, pts, ok):
         return [blk.u], pts[..., 0] < 0.0
 
-    below = integrate(f, left_half, 0.05, 1.0, box=((-1.0, -1.0), (1.0, 0.0)), floor=1.0)
+    below, = integrate(f, [Integrand(left_half, ((-1.0, -1.0), (1.0, 0.0)))], 0.05, 1.0,
+                       floor=1.0)
     assert below.measure == pytest.approx(0.95, rel=1e-14)
     assert below.excluded_fraction == 1.0
-    assert integrate(f, left_half, floor=0.25).excluded_fraction == 0.0
+    assert integrate(f, [Integrand(left_half)], floor=0.25)[0].excluded_fraction == 0.0
+
+
+# integrands that read every part of the slice they are handed: u, grad, dtu,
+# ok, the block time and the prepared cell centers
+KINDS = [
+    Integrand(lambda blk, pts, ok: ([blk.u, -blk.dtu * blk.t_mid], None)),
+    Integrand(lambda blk, pts, ok: (
+        [blk.u * pts[..., 0], sum(gk * gk for gk in blk.grad)],
+        pts[..., -1] < 0.1 if ok is None else ok & (pts[..., -1] < 0.1))),
+    Integrand(lambda blk, prep, ok: ([prep * blk.dtu, -prep * blk.u], prep > 0.0),
+              prepare=lambda pts: np.cos(3.0 * pts.sum(axis=-1))),
+]
+
+
+@st.composite
+def _multi_case(draw):
+    n = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    h = 0.25
+    origin = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0]), min_size=n, max_size=n))
+    nt = draw(st.integers(1, 5))
+    times = np.cumsum([0.0] + draw(st.lists(st.floats(0.05, 0.5), min_size=nt - 1,
+                                            max_size=nt - 1)))
+    grid = ql.GridSpec(origin=origin, extent=[h * c for c in cells], cells=cells,
+                       time_start=0.0, time_end=max(float(times[-1]), 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.uniform(0.0, 2.0, (nt,) + grid.node_shape)
+    field = ql.SpaceTimeField(ql.ModelParams(p=3.0, n=n), grid, times, values)
+
+    def box():
+        # empty, inverted, clipped by or outside the grid, or None (the whole grid)
+        if draw(st.booleans()) and draw(st.booleans()):
+            return None
+        lo = [draw(st.floats(o - 0.5, o + h * c + 0.25)) for o, c in zip(origin, cells)]
+        return (tuple(lo), tuple(a + draw(st.floats(-0.1, 1.0)) for a in lo))
+
+    integrands = [Integrand(k.terms, box(), k.prepare)
+                  for k in draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=5))]
+    window = sorted(draw(st.lists(st.floats(-0.2, 2.0), min_size=2, max_size=2)))
+    floor = draw(st.sampled_from([None, 0.5, 1.0]))
+    return field, integrands, window, floor
+
+
+@settings(max_examples=150, deadline=None)
+@given(_multi_case())
+def test_several_integrands_equal_one_call_each(case):
+    field, integrands, (t_lo, t_hi), floor = case
+    together = integrate(field, integrands, t_lo, t_hi, floor=floor)
+    alone = [integrate(field, [it], t_lo, t_hi, floor=floor)[0] for it in integrands]
+    for a, b in zip(together, alone):
+        assert (a.value, a.scale, a.cells, a.measure, a.excluded) == \
+            (b.value, b.scale, b.cells, b.measure, b.excluded)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -112,6 +169,25 @@ def test_two_valued_reports_bitwise(name):
     reports = ql.two_valued_caloric_check(f, [bump, off], ys)
     got = {k: (r.value, r.scale, r.quadrature_cells) for k, r in reports.items()}
     assert got == TWO_VALUED[name]
+
+
+def test_two_valued_builds_each_interval_once_per_window(monkeypatch):
+    # (ii)-(v) share one block pass per distinct time support: the default
+    # dictionary's 27 bumps, both etas and the three Ys build no interval twice
+    built = Counter()
+    blocks = quadrature.spacetime_blocks
+
+    def counted(field, t_lo=None, t_hi=None, box=None):
+        for blk in blocks(field, t_lo, t_hi, box=box):
+            built[(t_lo, t_hi, blk.t_mid)] += 1
+            yield blk
+
+    monkeypatch.setattr(quadrature, "spacetime_blocks", counted)
+    test_two_valued_reports_bitwise("breathing")
+    assert built and max(built.values()) == 1
+    # (i) over the full range, then the dictionary's, the centred and the
+    # off-centre time supports
+    assert len({key[:2] for key in built}) == 4
 
 
 def test_apriori_ladders_bitwise():
