@@ -99,7 +99,7 @@ def _write_csv(path: str, header: str, rows: List[Tuple]) -> None:
     lines = [header]
     for row in rows:
         lines.append(",".join(_fmt_float(v) if isinstance(v, float) else str(v) for v in row))
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+    atomic_write(path, [("\n".join(lines) + "\n").encode()])
 
 
 # -- field acquisition -----------------------------------------------------------
@@ -189,9 +189,9 @@ def run_pipeline(config: RunConfig, raise_errors: bool = True) -> Report:
             first_error = (index, exc)
 
     atomic_write(os.path.join(config.output_dir, "report.json"),
-                 emit_report(report, "json"))
+                 [emit_report(report, "json")])
     atomic_write(os.path.join(config.output_dir, "report.txt"),
-                 emit_report(report, "text"))
+                 [emit_report(report, "text")])
     if first_error is not None and raise_errors:
         index, exc = first_error
         # the original object keeps its payload (BudgetError.partial, ...)
