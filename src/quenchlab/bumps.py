@@ -160,12 +160,11 @@ class SpaceTimeBump:
     def time_support(self) -> Tuple[float, float]:
         return self.time.support()
 
-    def inside(self, grid: GridSpec, t_lo: float, t_hi: float, margin: float = 0.0) -> bool:
+    def inside(self, grid: GridSpec, t_lo: float, t_hi: float) -> bool:
         lo, hi = self.support_box()
-        glo = np.asarray(grid.origin) + margin
-        ghi = np.asarray(grid.upper()) - margin
         ta, tb = self.time.support()
-        return (np.all(np.asarray(lo) >= glo) and np.all(np.asarray(hi) <= ghi)
+        return (np.all(np.asarray(lo) >= np.asarray(grid.origin))
+                and np.all(np.asarray(hi) <= np.asarray(grid.upper()))
                 and ta >= t_lo and tb <= t_hi)
 
 

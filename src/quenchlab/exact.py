@@ -76,10 +76,7 @@ def rescale(field: SpaceTimeField, spec: BlowupSpec, target_grid: GridSpec,
     target_times = np.asarray(target_times, dtype=float)
     scale = spec.normalization * lam ** alpha
 
-    axes = np.meshgrid(*[target_grid.axis_nodes(k) for k in range(target_grid.n)],
-                       indexing="ij")
-    pts = np.stack([a.ravel() for a in axes], axis=-1)
-    src_pts = x0 + lam * pts
+    src_pts = x0 + lam * target_grid.node_points()
     if not np.all(field.grid.contains(src_pts)):
         raise DomainError(f"rescaled window escapes the source domain at lambda={lam}")
     src_times = t0 + lam ** 2 * target_times
@@ -112,13 +109,10 @@ def self_similarity_residual(field: SpaceTimeField, base_point: ParabolicPoint,
     alpha = field.params.alpha
 
     # sample the window on the source grid resolution
-    node_axes = [g.axis_nodes(k) for k in range(g.n)]
-    sel_axes = [ax[(ax >= c[k] - window.radius) & (ax <= c[k] + window.radius)]
-                for k, ax in enumerate(node_axes)]
-    if any(a.size == 0 for a in sel_axes):
+    pts = g.node_points()
+    pts = pts[np.all((pts >= c - window.radius) & (pts <= c + window.radius), axis=-1)]
+    if pts.shape[0] == 0:
         raise DomainError("window contains no grid nodes")
-    mesh = np.meshgrid(*sel_axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
     in_ball = np.linalg.norm(pts - c, axis=-1) <= window.radius
     pts = pts[in_ball]
     times = field.times[(field.times > lo) & (field.times <= hi)]
@@ -167,17 +161,21 @@ _PROFILES = {
 
 
 def profile_field(params: ModelParams, grid: GridSpec, times, profile: str,
-                  exponent: Optional[float] = None) -> SpaceTimeField:
+                  exponent: Optional[float] = None,
+                  value: Optional[float] = None) -> SpaceTimeField:
     """Time-constant synthetic fields used as caloric / counterexample oracles.
 
     profile: abs_x1 | abs_x1x2 | relu_x1 | abs_x1_pow (with `exponent`)
+             | constant (with `value`, default 1)
     """
     if profile == "abs_x1_pow":
         if exponent is None:
             raise ValidationError("abs_x1_pow requires an exponent")
         fn = lambda xs, t: np.abs(xs[:, 0]) ** exponent
     elif profile == "constant":
-        value = 1.0 if exponent is None else exponent
+        if exponent is not None:
+            raise ValidationError("constant takes a value, not an exponent")
+        value = 1.0 if value is None else value
         fn = lambda xs, t: np.full(xs.shape[0], value)
     elif profile in _PROFILES:
         base = _PROFILES[profile]

@@ -32,8 +32,8 @@ class SpaceTimeField:
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.size < 1:
             raise ValidationError("times must be a nonempty 1-d sequence")
-        if np.any(np.diff(times) <= 0):
-            raise ValidationError("times must be strictly increasing")
+        if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
+            raise ValidationError("times must be finite and strictly increasing")
         span = grid.time_end - grid.time_start
         if times[0] < grid.time_start - 1e-12 * span or times[-1] > grid.time_end + 1e-12 * span:
             raise ValidationError("times must lie within [time_start, time_end]")
@@ -88,12 +88,13 @@ class SpaceTimeField:
         w = (ts - times[i]) / (times[i + 1] - times[i])
         return i, np.clip(w, 0.0, 1.0)
 
-    def slab(self, t: float) -> np.ndarray:
-        """Node values at time t (linear interpolation between stored slabs)."""
+    def slab(self, t: float, window: Tuple[slice, ...] = ()) -> np.ndarray:
+        """Node values in window (per-axis node slices) at time t, linear between slabs."""
         i, w = self.time_bracket(t)
+        lo = self.values[i][window]
         if w == 0.0 or self.times.size == 1:
-            return self.values[i]
-        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
+            return lo
+        return (1.0 - w) * lo + w * self.values[i + 1][window]
 
     def local_dt(self, t: float) -> float:
         """Stored-time spacing of the interval containing t."""
@@ -164,8 +165,7 @@ def field_from_function(params: ModelParams, grid: GridSpec, times, fn,
                         boundary_kind: str = ANALYTIC) -> SpaceTimeField:
     """Fill a field from fn(xs, t) with xs (m, n) -> (m,) values."""
     times = np.asarray(times, dtype=float)
-    axes = np.meshgrid(*[grid.axis_nodes(k) for k in range(grid.n)], indexing="ij")
-    pts = np.stack([a.ravel() for a in axes], axis=-1)
+    pts = grid.node_points()
     vals = np.empty((times.size,) + grid.node_shape)
     for j, t in enumerate(times):
         vals[j] = np.asarray(fn(pts, float(t)), dtype=float).reshape(grid.node_shape)

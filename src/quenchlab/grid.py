@@ -31,6 +31,8 @@ class GridSpec:
         object.__setattr__(self, "cells", tuple(int(v) for v in np.atleast_1d(self.cells)))
         if not (len(self.origin) == len(self.extent) == len(self.cells)):
             raise ValidationError("origin, extent and cells must have one entry per axis")
+        if not np.all(np.isfinite(self.origin + self.extent + (self.time_start, self.time_end))):
+            raise ValidationError("origin, extent, time_start and time_end must be finite")
         if any(e <= 0 for e in self.extent):
             raise ValidationError(f"extent must be positive, got {self.extent}")
         if any(c < 1 for c in self.cells):
@@ -55,6 +57,11 @@ class GridSpec:
 
     def axis_nodes(self, k: int) -> np.ndarray:
         return self.origin[k] + self.spacing * np.arange(self.cells[k] + 1)
+
+    def node_points(self) -> np.ndarray:
+        """Coordinates of every node, shape (nodes, n), in C (row-major) order."""
+        axes = np.meshgrid(*[self.axis_nodes(k) for k in range(self.n)], indexing="ij")
+        return np.stack([a.ravel() for a in axes], axis=-1)
 
     def axis_cell_centers(self, k: int) -> np.ndarray:
         return self.origin[k] + self.spacing * (np.arange(self.cells[k]) + 0.5)

@@ -18,7 +18,7 @@ from .bumps import CutoffSpec
 from .errors import AccuracyWarning, DomainError, UsageError, ValidationError
 from .field import SpaceTimeField
 from .geometry import ParabolicPoint
-from .quadrature import slab_cells
+from .quadrature import floored_power, singular_floor, slab_cells
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,6 @@ class FrequencyTrace:
     violations: List[Tuple[Tuple[float, float], float]] = dc_field(default_factory=list)
     monotonicity_claimed: bool = True
     max_reference_gap: Optional[float] = None
-    underflow_flagged: bool = False
 
     def __post_init__(self):
         if np.any(self.H_values < 0) or np.any(self.D_values < 0):
@@ -138,12 +137,10 @@ def _gaussian_weights(field: SpaceTimeField, x0: ParabolicPoint, s: float,
 def weighted_energy_detail(field: SpaceTimeField, x0: ParabolicPoint, s: float,
                            w: WeightSpec, u_floor: Optional[float] = None) -> EnergyEval:
     p = field.params.p
-    floor = field.h ** field.params.alpha if u_floor is None else u_floor
     cells, wgt, _ = _gaussian_weights(field, x0, s, w)
     grad2 = sum(gk ** 2 for gk in cells.grad)
-    ok = cells.u >= floor
-    safe_u = np.where(ok, cells.u, 1.0)
-    upow = np.where(ok, safe_u ** (1.0 - p), 0.0)
+    ok = cells.u >= singular_floor(field, u_floor)
+    upow = floored_power(cells.u, ok, 1.0 - p)
     term1 = s ** ((p - 1.0) / (p + 1.0)) * float(
         (wgt * (0.5 * grad2 - upow / (p - 1.0))).sum())
     term2 = -s ** (-2.0 / (p + 1.0)) / (2.0 * (p + 1.0)) * float((wgt * cells.u ** 2).sum())
@@ -308,16 +305,11 @@ def almgren_scan(field: SpaceTimeField, x0: ParabolicPoint, w: WeightSpec,
     if np.any(np.diff(s_grid) <= 0) or np.any(s_grid <= 0):
         raise UsageError("s_grid must be positive and increasing")
     H, D, N = [], [], []
-    underflow = False
     for s in s_grid:
         hv, dv, nv = frequency(field, x0, s, w)
         H.append(hv)
         D.append(dv)
-        if nv is None:
-            underflow = True
-            N.append(np.nan)
-        else:
-            N.append(nv)
+        N.append(np.nan if nv is None else nv)
     H, D, N = np.array(H), np.array(D), np.array(N)
     violations = []
     if caloric:
@@ -334,8 +326,7 @@ def almgren_scan(field: SpaceTimeField, x0: ParabolicPoint, w: WeightSpec,
     return FrequencyTrace(
         base_point=x0, s_samples=s_grid, H_values=H, D_values=D, N_values=N,
         gamma_half_reference=gamma_half_reference, violations=violations,
-        monotonicity_claimed=caloric, max_reference_gap=gap,
-        underflow_flagged=underflow)
+        monotonicity_claimed=caloric, max_reference_gap=gap)
 
 
 def log_h_identity_error(trace: FrequencyTrace) -> float:

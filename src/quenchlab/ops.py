@@ -104,8 +104,7 @@ def _synthetic_abs_x1_pow(model, grid, times, *, exponent: float):
 
 
 def _synthetic_constant(model, grid, times, *, value: float = 1.0):
-    # profile_field takes the constant through its exponent parameter
-    return profile_field(model, grid, times, "constant", exponent=value)
+    return profile_field(model, grid, times, "constant", value=value)
 
 
 SYNTHETIC = {"ode": ode_field, "radial_steady": radial_field,
@@ -119,9 +118,7 @@ def _point(point, field: SpaceTimeField) -> ParabolicPoint:
     if point is not None:
         return ParabolicPoint(tuple(point[:-1]), point[-1])
     # default: the argmin node of the final slab at the final time
-    last = field.values[-1]
-    idx = np.unravel_index(int(np.argmin(last)), last.shape)
-    x = tuple(field.grid.axis_nodes(k)[idx[k]] for k in range(field.n))
+    x = field.grid.node_points()[int(np.argmin(field.values[-1]))]
     return ParabolicPoint(x, float(field.times[-1]))
 
 

@@ -128,6 +128,8 @@ def load_field(path) -> SpaceTimeField:
         (stored,) = struct.unpack("<I", _read_exact(fh, path, 4))
     if crc != stored:
         raise CorruptFileError(f"{path}: CRC mismatch")
+    if not (np.all(np.isfinite(origin + extent)) and np.all(np.isfinite(times))):
+        raise CorruptFileError(f"{path}: non-finite grid origin, extent or time")
     t0, t1 = float(times[0]), float(times[-1])
     grid = GridSpec(origin=origin, extent=extent, cells=cells,
                     time_start=t0, time_end=t1 if t1 > t0 else t0 + 1.0)

@@ -11,6 +11,11 @@ time interval at a time, builds each interval's block once over the union of
 the boxes and hands every integrand its slice.  An integrand's `prepare`
 step runs once per window on its cell centres, so spatial factors (a test
 function's eta, grad eta, Lap eta) are not re-evaluated per block.
+
+This module decides which cells cover a box, for slabs and blocks alike
+(`_cell_window`; stored slabs are cut to it before they are combined), and
+which cells are singular: u below the floor, by default h^alpha
+(`singular_floor`), where a u-power term is 0 (`floored_power`).
 """
 
 from dataclasses import dataclass
@@ -57,18 +62,32 @@ def cell_gradient(slab: np.ndarray, h: float) -> List[np.ndarray]:
     return out
 
 
-def _axis_windows(grid: GridSpec, box: Optional[Tuple]) -> List[Tuple[int, int]]:
-    """Cell index ranges [a, b) per axis covering the requested box."""
-    if box is None:
-        return [(0, c) for c in grid.cells]
-    lo, hi = box
-    h = grid.spacing
-    ranges = []
-    for k in range(grid.n):
-        a = int(np.floor((lo[k] - grid.origin[k]) / h))
-        b = int(np.ceil((hi[k] - grid.origin[k]) / h))
-        ranges.append((max(a, 0), min(b, grid.cells[k])))
-    return ranges
+def _cell_window(grid: GridSpec, box: Optional[Tuple]):
+    """The cells covering box (None: every cell), clipped to the grid.
+
+    Returns the node slicer of those cells and their per-axis centres, or None
+    when the box covers no cell.
+    """
+    ranges = [(0, c) for c in grid.cells]
+    if box is not None:
+        lo, hi = box
+        h = grid.spacing
+        ranges = [(max(int(np.floor((lo[k] - o) / h)), 0), min(int(np.ceil((hi[k] - o) / h)), c))
+                  for k, (o, c) in enumerate(zip(grid.origin, grid.cells))]
+    if any(b <= a for a, b in ranges):
+        return None
+    return (tuple(slice(a, b + 1) for a, b in ranges),
+            tuple(grid.axis_cell_centers(k)[a:b] for k, (a, b) in enumerate(ranges)))
+
+
+def singular_floor(field: SpaceTimeField, u_floor: Optional[float] = None) -> float:
+    """u_floor, or by default h^alpha: cells with u below it are singular."""
+    return field.h ** field.params.alpha if u_floor is None else u_floor
+
+
+def floored_power(u: np.ndarray, ok: np.ndarray, e: float) -> np.ndarray:
+    """u ** e on the cells where ok, 0 on the singular cells (no power taken there)."""
+    return np.where(ok, np.where(ok, u, 1.0) ** e, 0.0)
 
 
 def cell_points(centers: Tuple[np.ndarray, ...]) -> np.ndarray:
@@ -93,16 +112,14 @@ class SlabCells:
 def slab_cells(field: SpaceTimeField, t: float, box=None) -> SlabCells:
     """Cell-center values and gradients of the slab at time t."""
     g = field.grid
-    ranges = _axis_windows(g, box)
-    if any(b <= a for a, b in ranges):
+    win = _cell_window(g, box)
+    if win is None:
         # an empty window; caller treats the integral as zero
         empty = tuple(np.empty(0) for _ in range(g.n))
         z = np.zeros((0,) * g.n)
         return SlabCells(empty, z, [z] * g.n, g.spacing ** g.n)
-    slab = field.slab(t)
-    slicer = tuple(slice(a, b + 1) for a, b in ranges)
-    window = slab[slicer]
-    centers = tuple(g.axis_cell_centers(k)[ranges[k][0]:ranges[k][1]] for k in range(g.n))
+    slicer, centers = win
+    window = field.slab(t, slicer)
     return SlabCells(
         centers=centers,
         u=pool_corners(window, g.n),
@@ -139,11 +156,10 @@ def spacetime_blocks(field: SpaceTimeField, t_lo=None, t_hi=None,
     b = times[-1] if t_hi is None else min(t_hi, times[-1])
     if b <= a:
         return
-    ranges = _axis_windows(g, box)
-    if any(r1 <= r0 for r0, r1 in ranges):
+    win = _cell_window(g, box)
+    if win is None:
         return
-    slicer = tuple(slice(r0, r1 + 1) for r0, r1 in ranges)
-    centers = tuple(g.axis_cell_centers(k)[ranges[k][0]:ranges[k][1]] for k in range(g.n))
+    slicer, centers = win
     h = g.spacing
     vol = h ** g.n
     for j in range(times.size - 1):
@@ -223,28 +239,27 @@ def integrate(field: SpaceTimeField, integrands: Sequence[Integrand], t_lo=None,
     """
     g = field.grid
     out = [Integral(0.0, 0.0, 0, 0.0, 0.0) for _ in integrands]
-    ranges = [_axis_windows(g, it.box) for it in integrands]
-    live = [i for i, r in enumerate(ranges) if all(b > a for a, b in r)]
+    live = {i: win for i, win in enumerate(_cell_window(g, it.box) for it in integrands)
+            if win is not None}
     if not live:
         return out
     union = _union_box([integrands[i].box for i in live])
-    outer = _axis_windows(g, union)
-    slices = {i: tuple(slice(a - o, b - o) for (a, b), (o, _) in zip(ranges[i], outer))
-              for i in live}
-    centers = {i: tuple(g.axis_cell_centers(k)[a:b] for k, (a, b) in enumerate(ranges[i]))
-               for i in live}
+    outer, _ = _cell_window(g, union)
+    # each integrand's cells within the union block's cells
+    slices = {i: tuple(slice(a.start - o.start, a.stop - 1 - o.start) for a, o in zip(nodes, outer))
+              for i, (nodes, _) in live.items()}
     preps = None
     for blk in spacetime_blocks(field, t_lo, t_hi, box=union):
         if preps is None:   # every block of one window shares its cell centers
             preps = {}
-            for i in live:
-                pts = cell_points(centers[i])
+            for i, (_, centers) in live.items():
+                pts = cell_points(centers)
                 prepare = integrands[i].prepare
                 preps[i] = pts if prepare is None else prepare(pts)
         w = blk.dt * blk.volume
-        for i in live:
+        for i, (_, centers) in live.items():
             sl = slices[i]
-            sub = SpaceTimeBlock(blk.t_mid, blk.dt, centers[i], blk.u[sl],
+            sub = SpaceTimeBlock(blk.t_mid, blk.dt, centers, blk.u[sl],
                                  [gk[sl] for gk in blk.grad], blk.dtu[sl], blk.volume)
             ok = None if floor is None else sub.u >= floor
             terms, support = integrands[i].terms(sub, preps[i], ok)

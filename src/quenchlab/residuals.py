@@ -16,7 +16,7 @@ stationary_residual and 2 x energy_inequality_defect.  Nothing here proves a
 field *is* a weak solution; the reports only falsify up to tolerance.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,7 +24,8 @@ import numpy as np
 from .bumps import CutoffSpec, SpaceTimeBump, TestVectorField, TimeWindow
 from .errors import DomainError, SingularIntegrandError, UsageError
 from .field import SpaceTimeField
-from .quadrature import Integral, Integrand, integrate, slab_cells
+from .quadrature import (Integral, Integrand, floored_power, integrate, singular_floor,
+                         slab_cells)
 
 _EXCLUDED_FRACTION_LIMIT = 0.25
 
@@ -35,7 +36,6 @@ class ResidualReport:
     scale: float
     quadrature_cells: int
     excluded_fraction: float = 0.0
-    detail: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if self.scale < 0:
@@ -50,27 +50,9 @@ def _report(res: Integral) -> ResidualReport:
     return ResidualReport(res.value, res.scale, res.cells, res.excluded_fraction)
 
 
-def default_u_floor(field: SpaceTimeField) -> float:
-    """Singular-cell floor h^alpha: cells below it leave the u-power integrals."""
-    return field.h ** field.params.alpha
-
-
 def _require_inside(field: SpaceTimeField, bump: SpaceTimeBump):
     if not bump.inside(field.grid, field.times[0], field.times[-1]):
         raise DomainError("test function support must sit inside the field domain")
-
-
-def _require_vector_inside(field: SpaceTimeField, Y: TestVectorField):
-    box = Y.support_box()
-    t_lo, t_hi = Y.time_support()
-    if box is None or t_lo is None:
-        raise UsageError("vector field must declare its support")
-    lo, hi = box
-    g = field.grid
-    if (np.any(np.asarray(lo) < np.asarray(g.origin)) or
-            np.any(np.asarray(hi) > np.asarray(g.upper())) or
-            t_lo < field.times[0] or t_hi > field.times[-1]):
-        raise DomainError("vector field support must sit inside the field domain")
 
 
 class _TimeFactors:
@@ -108,9 +90,9 @@ def distributional_residual(field: SpaceTimeField, psi: SpaceTimeBump,
     _require_inside(field, psi)
     if float(field.values.min()) < 0:
         raise UsageError("distributional residual requires u >= 0")
-    floor = default_u_floor(field) if u_floor is None else u_floor
+    floor = singular_floor(field, u_floor) if potential else None
     res, = integrate(field, [_distributional(field, psi, _TimeFactors())],
-                     *psi.time_support(), floor=floor if potential else None)
+                     *psi.time_support(), floor=floor)
     rep = _report(res)
     if rep.excluded_fraction > _EXCLUDED_FRACTION_LIMIT:
         raise SingularIntegrandError(
@@ -131,7 +113,7 @@ def _distributional(field: SpaceTimeField, psi: SpaceTimeBump,
         if ok is None:
             return out, None
         psiv = eta * w
-        out.append(np.where(ok, np.where(ok, blk.u, 1.0) ** (-p), 0.0) * psiv)
+        out.append(floored_power(blk.u, ok, -p) * psiv)
         return out, psiv != 0.0
 
     return Integrand(terms, psi.support_box(),
@@ -153,7 +135,7 @@ def _energy_density(u, grad, ok, p):
     density = 0.5 * sum(gk ** 2 for gk in grad)
     if ok is None:
         return density
-    return density - np.where(ok, np.where(ok, u, 1.0) ** (1.0 - p), 0.0) / (p - 1.0)
+    return density - floored_power(u, ok, 1.0 - p) / (p - 1.0)
 
 
 def stationary_residual(field: SpaceTimeField, Y: TestVectorField,
@@ -169,10 +151,10 @@ def stationary_residual(field: SpaceTimeField, Y: TestVectorField,
     refinement.  The support of Y must sit inside the field domain: clipping
     it would drop the boundary terms of the identity.
     """
-    _require_vector_inside(field, Y)
-    floor = default_u_floor(field) if u_floor is None else u_floor
+    _require_inside(field, Y.bump)
+    floor = singular_floor(field, u_floor) if potential else None
     res, = integrate(field, [_stationary(field, Y, _TimeFactors())], *Y.time_support(),
-                     floor=floor if potential else None)
+                     floor=floor)
     if res.excluded_fraction > _EXCLUDED_FRACTION_LIMIT:
         raise SingularIntegrandError("u vanishes on too much of the vector field support")
     return _report(res)
@@ -210,7 +192,7 @@ def energy_inequality_defect(field: SpaceTimeField, eta: SpaceTimeBump,
     """
     if not (field.times[0] - 1e-12 <= t1 < t2 <= field.times[-1] + 1e-12):
         raise DomainError("need t1 < t2 within the stored time range")
-    floor = (default_u_floor(field) if u_floor is None else u_floor) if potential else None
+    floor = singular_floor(field, u_floor) if potential else None
     res, = integrate(field, [_energy(field, eta, _TimeFactors())], t1, t2, floor=floor)
     return _energy_report(field, eta, t1, t2, floor, res)
 
@@ -323,14 +305,13 @@ def two_valued_caloric_check(field: SpaceTimeField,
     for eta in etas:
         _require_inside(field, eta)
     for Y in Ys:
-        _require_vector_inside(field, Y)
+        _require_inside(field, Y.bump)
     reports: Dict[str, ResidualReport] = {}
 
     # (i) finiteness over the full stored domain
     full, = integrate(field, [Integrand(lambda blk, pts, ok: (
         [sum(gk ** 2 for gk in blk.grad), blk.dtu ** 2], None))])
-    reports["i"] = ResidualReport(full.value, max(full.measure, 1e-300), full.cells,
-                                  detail={"finite": bool(np.isfinite(full.value))})
+    reports["i"] = ResidualReport(full.value, max(full.measure, 1e-300), full.cells)
 
     times = _TimeFactors()
     jobs = ([(psi.time_support(), _distributional(field, psi, times)) for psi in bumps]
@@ -343,9 +324,7 @@ def two_valued_caloric_check(field: SpaceTimeField,
 
     # (ii) distributional subcaloricity against a declared dictionary
     worst = max(ii, key=lambda r: r.value)
-    reports["ii"] = ResidualReport(-worst.value, worst.scale, worst.cells,
-                                   detail={"dictionary_size": len(bumps),
-                                           "one_sided": True})
+    reports["ii"] = ResidualReport(-worst.value, worst.scale, worst.cells)
     # (iii) contact identity, (iv) stationarity identity, (v) localized energy
     # inequality (gradient-only form): worst over the etas or the Ys
     reports["iii"] = _worst([_report(r) for r in iii])

@@ -16,7 +16,7 @@ from .exact import BlowupSpec, rescale
 from .field import SpaceTimeField
 from .geometry import ParabolicPoint
 from .grid import GridSpec
-from .quadrature import Integrand, integrate
+from .quadrature import Integrand, floored_power, integrate, singular_floor
 
 _REFINE_CELLS = 4
 _BLOCK = 1024
@@ -75,13 +75,6 @@ class DimensionFit:
 
 # -- Hoelder seminorm ---------------------------------------------------------
 
-def _node_cloud(field: SpaceTimeField):
-    g = field.grid
-    axes = np.meshgrid(*[g.axis_nodes(k) for k in range(g.n)], indexing="ij")
-    xs = np.stack([a.ravel() for a in axes], axis=-1)
-    return xs, field.values.reshape(field.times.size, -1)
-
-
 def _quotients(xs, times, vals, ia_t, ia_s, ib_t, ib_s, exponent):
     du = np.abs(vals[ia_t, ia_s] - vals[ib_t, ib_s])
     dx = np.linalg.norm(xs[ia_s] - xs[ib_s], axis=-1)
@@ -112,7 +105,8 @@ def holder_seminorm(field: SpaceTimeField, exponent: float, budget: int,
         raise UsageError("exponent must lie in (0, 1]")
     if budget < 1000:
         raise UsageError("budget must be at least 10^3 pairs")
-    xs, vals = _node_cloud(field)
+    xs = field.grid.node_points()
+    vals = field.values.reshape(field.times.size, -1)
     nt, ns = vals.shape
     if nt * ns < 2:
         raise UsageError("need at least two nodes")
@@ -192,9 +186,8 @@ def rupture_set(field: SpaceTimeField, tau: float) -> RuptureSet:
     """All space-time grid nodes with u <= tau (may be empty)."""
     if tau <= 0:
         raise UsageError("tau must be positive")
-    xs, vals = _node_cloud(field)
-    it, isp = np.nonzero(vals <= tau)
-    return RuptureSet(threshold=tau, xs=xs[isp], ts=field.times[it],
+    it, isp = np.nonzero(field.values.reshape(field.times.size, -1) <= tau)
+    return RuptureSet(threshold=tau, xs=field.grid.node_points()[isp], ts=field.times[it],
                       source_grid=field.grid)
 
 
@@ -248,30 +241,38 @@ def _count_tiles(keys: np.ndarray) -> int:
     return int(np.unique(np.ravel_multi_index(tuple(keys.T), dims)).size)
 
 
-def parabolic_box_dimension(S: RuptureSet, radii: Sequence[float]) -> DimensionFit:
-    """Box-counting dimension with parabolic tiles (side r, duration r^2).
+def _box_fit(cloud: np.ndarray, r: np.ndarray, parabolic: bool) -> DimensionFit:
+    """Count the tiles of side r that the rows of cloud meet, per radius, and fit.
 
-    fitted_dim is minus the log-log slope of counts against r over the
-    trimmed window.  A cloud whose counts never change reads as dimension
-    zero (every finite point set does, once the radii resolve its gaps).
+    With parabolic, the last column is time and its tiles last r^2.  A cloud
+    whose counts never change reads as dimension zero (every finite point set
+    does, once the radii resolve its gaps).
     """
-    if len(S) == 0:
-        raise UsageError("rupture set is empty")
-    r = _validate_radii(radii, S.source_grid.spacing, max(S.source_grid.extent))
-    x_ref = S.xs.min(axis=0)
-    t_ref = S.ts.min()
+    ref = cloud.min(axis=0)
     counts = []
     for rad in r:
-        keys = [np.floor((S.xs[:, k] - x_ref[k]) / rad).astype(np.int64)
-                for k in range(S.xs.shape[1])]
-        keys.append(np.floor((S.ts - t_ref) / rad ** 2).astype(np.int64))
-        counts.append(_count_tiles(np.stack(keys, axis=1)))
+        side = np.full(cloud.shape[1], rad)
+        if parabolic:
+            side[-1] = rad ** 2
+        counts.append(_count_tiles(np.floor((cloud - ref) / side).astype(np.int64)))
     counts = np.asarray(counts)
     window = _fit_window(r)
     if np.all(counts == counts[0]):
         return DimensionFit(r, counts, 0.0, window, 0.0)
     slope, rms = _loglog_fit(r, counts, window)
     return DimensionFit(r, counts, max(-slope, 0.0), window, rms)
+
+
+def parabolic_box_dimension(S: RuptureSet, radii: Sequence[float]) -> DimensionFit:
+    """Box-counting dimension with parabolic tiles (side r, duration r^2).
+
+    fitted_dim is minus the log-log slope of counts against r over the
+    trimmed window.
+    """
+    if len(S) == 0:
+        raise UsageError("rupture set is empty")
+    r = _validate_radii(radii, S.source_grid.spacing, max(S.source_grid.extent))
+    return _box_fit(np.column_stack([S.xs, S.ts]), r, parabolic=True)
 
 
 def slice_dimension(S: RuptureSet, t: float, radii: Sequence[float]) -> DimensionFit:
@@ -280,19 +281,8 @@ def slice_dimension(S: RuptureSet, t: float, radii: Sequence[float]) -> Dimensio
     sel = np.abs(S.ts - t) <= h ** 2
     if not sel.any():
         raise DomainError(f"no rupture points within h^2 of t={t}")
-    xs = S.xs[sel]
     r = _validate_radii(radii, h, max(S.source_grid.extent))
-    x_ref = xs.min(axis=0)
-    counts = []
-    for rad in r:
-        keys = np.floor((xs - x_ref) / rad).astype(np.int64)
-        counts.append(_count_tiles(keys))
-    counts = np.asarray(counts)
-    window = _fit_window(r)
-    if np.all(counts == counts[0]):
-        return DimensionFit(r, counts, 0.0, window, 0.0)
-    slope, rms = _loglog_fit(r, counts, window)
-    return DimensionFit(r, counts, max(-slope, 0.0), window, rms)
+    return _box_fit(S.xs[sel], r, parabolic=False)
 
 
 # -- a priori scaling laws ------------------------------------------------------
@@ -317,17 +307,15 @@ def apriori_scaling_check(field: SpaceTimeField, X0: ParabolicPoint, quantity: s
     if np.any(np.diff(r) >= 0):
         r = np.sort(r)[::-1]
     p = field.params.p
-    floor = field.h ** field.params.alpha if u_floor is None else u_floor
     c = np.asarray(X0.x)
 
     def terms(blk, inside, ok):
         if quantity == "mass":
             return [blk.u * inside], inside
-        safe_u = np.where(ok, blk.u, 1.0)
         if quantity == "u_inv_p":
-            density = np.where(ok, safe_u ** (-p), 0.0)
+            density = floored_power(blk.u, ok, -p)
         else:
-            density = sum(gk ** 2 for gk in blk.grad) + np.where(ok, safe_u ** (1.0 - p), 0.0)
+            density = sum(gk ** 2 for gk in blk.grad) + floored_power(blk.u, ok, 1.0 - p)
         return [density * inside], inside
 
     vals = []
@@ -336,7 +324,7 @@ def apriori_scaling_check(field: SpaceTimeField, X0: ParabolicPoint, quantity: s
         ball = Integrand(terms, (tuple(c - rad), tuple(c + rad)),
                          lambda pts, rad=rad: np.sum((pts - c) ** 2, axis=-1) <= rad ** 2)
         res, = integrate(field, [ball], X0.t - rad ** 2, X0.t,
-                         floor=None if quantity == "mass" else floor)
+                         floor=None if quantity == "mass" else singular_floor(field, u_floor))
         if res.excluded_fraction > 0.01:
             raise AccuracyError(
                 f"singular cells carry {res.excluded_fraction:.1%} of Q_r at r={rad:g}")

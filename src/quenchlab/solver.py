@@ -59,7 +59,6 @@ class SolverConfig:
     quench_threshold: float = 1e-3
     max_steps: int = 500_000
     store_stride: int = 1
-    reaction_enabled: bool = True   # diagnostic switch: False marches pure heat
 
     def __post_init__(self):
         if self.epsilon_reg <= 0 or self.dt_initial <= 0 or self.dt_min <= 0:
@@ -124,8 +123,7 @@ class _Workspace:
         if not periodic:
             self.boundary = np.ones(self.shape, dtype=bool)
             self.boundary[self.inner] = False
-            axes = np.meshgrid(*[grid.axis_nodes(k) for k in range(n)], indexing="ij")
-            self.boundary_xs = np.stack([a[self.boundary] for a in axes], axis=-1)
+            self.boundary_xs = grid.node_points()[self.boundary.ravel()]
 
     def laplacian(self, work: np.ndarray) -> np.ndarray:
         """Lap_h of work on the interior nodes (all nodes when periodic)."""
@@ -178,7 +176,8 @@ class _Workspace:
 
 
 def step(values: np.ndarray, t: float, dt: float, params: ModelParams,
-         workspace: _Workspace, boundary: BoundaryData, config: SolverConfig) -> np.ndarray:
+         workspace: _Workspace, boundary: BoundaryData, config: SolverConfig,
+         reaction: bool = True) -> np.ndarray:
     """One semi-implicit step from t to t + dt; returns the new node values.
 
     Solves (I - dt Lap_h) u_new = u_old - dt f_eps(u_half) with the midpoint
@@ -189,14 +188,14 @@ def step(values: np.ndarray, t: float, dt: float, params: ModelParams,
     Lap_h u = f_eps(u), treats the space-constant mode at midpoint accuracy,
     and stays stable because the adaptive dt law bounds dt |f_eps'| <=
     safety * p while the implicit solve damps what the explicit Laplacian in
-    the predictor amplifies.
+    the predictor amplifies.  reaction=False marches the pure heat equation.
     """
     if dt < config.dt_min:
         raise UsageError(f"dt={dt} below dt_min={config.dt_min}")
     work = workspace.to_work(values)
     trace = None if workspace.periodic else boundary.trace(workspace.boundary_xs, t + dt)
     rhs = work
-    if config.reaction_enabled:
+    if reaction:
         f_old = regularized_nonlinearity(params, config.epsilon_reg, work)
         half = work.copy()
         half[workspace.inner] += 0.5 * dt * (workspace.laplacian(work) - f_old[workspace.inner])
@@ -286,13 +285,9 @@ def solve_until_quench(initial: SpaceTimeField, boundary: BoundaryData,
     final = stored[-1]
     m = float(final.min())
     tol = 1e-12 * (1.0 + abs(m))
-    pts = []
-    if quenched:
-        axes = np.meshgrid(*[grid.axis_nodes(k) for k in range(grid.n)], indexing="ij")
-        where = np.argwhere(final <= m + tol)
-        for idx in where:
-            pts.append(ParabolicPoint(tuple(axes[k][tuple(idx)] for k in range(grid.n)), t))
-    report = QuenchReport(quench_time=quench_time, quench_points=pts,
+    nodes = grid.node_points()[final.ravel() <= m + tol] if quenched else []
+    report = QuenchReport(quench_time=quench_time,
+                          quench_points=[ParabolicPoint(x, t) for x in nodes],
                           min_history=history, steps_taken=steps)
     return make_field(), report
 
@@ -312,11 +307,6 @@ def comparison_guard(field: SpaceTimeField, boundary: BoundaryData,
     if field.times.size < 2:
         raise UsageError("comparison guard needs at least two stored slabs")
     config = config or SolverConfig()
-    heat_cfg = SolverConfig(
-        epsilon_reg=config.epsilon_reg, dt_initial=config.dt_initial,
-        dt_min=config.dt_min, safety=config.safety,
-        quench_threshold=config.quench_threshold, max_steps=config.max_steps,
-        reaction_enabled=False)
     ws = _Workspace(field.grid, periodic=False)
     interior = tuple(slice(1, -1) for _ in range(field.n))
     phi = field.values[0].copy()
@@ -326,6 +316,7 @@ def comparison_guard(field: SpaceTimeField, boundary: BoundaryData,
     worst = -np.inf
     for j in range(field.times.size - 1):
         dt = float(field.times[j + 1] - field.times[j])
-        phi = step(phi, float(field.times[j]), dt, field.params, ws, boundary, heat_cfg)
+        phi = step(phi, float(field.times[j]), dt, field.params, ws, boundary, config,
+                   reaction=False)
         worst = max(worst, float((field.values[j + 1] - phi)[interior].max()))
     return worst

@@ -43,7 +43,7 @@ SYNTHETIC_SECTION = "\n[synthetic]\nkind = abs_x1\n"
 # ran as an analysis, and "volume" and "exponant" (abs_x1_pow then lacked its
 # exponent) failed only once the run had started.
 REJECTED = {
-    "reaction_enabled": '[solver]\nreaction_enabled = "false"\n',
+    "eta": '[analysis.d]\nop = density_estimate\ns_min = 1e-3\ns_max = 0.1\neta = "false"\n',
     "caloric": '[analysis.f]\nop = almgren_scan\ncaloric = "false"\n',
     "s_mn": "[analysis.d]\nop = density_estimate\ns_min = 1e-3\ns_max = 0.1\ns_mn = 1e-3\n",
     "dpeth": "[initial]\nkind = dip\ndpeth = 0.5\n",

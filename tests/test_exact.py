@@ -131,7 +131,7 @@ def test_self_similarity_radial(radial_field_2d):
 
 def test_self_similarity_constant_field(p3_1d, ode_field_dyadic):
     f = ql.profile_field(p3_1d, ode_field_dyadic.grid, ode_field_dyadic.times,
-                         "constant", exponent=1.0)
+                         "constant", value=1.0)
     win = ql.ParabolicCylinder(ql.ParabolicPoint((0.0,), -0.05), 0.3)
     res = ql.self_similarity_residual(f, ql.ParabolicPoint((0.0,), 0.0), [2.0], win)
     assert res == pytest.approx(abs(1.0 - 2.0 ** -0.5), abs=1e-12)

@@ -40,6 +40,29 @@ def test_field_invariants():
         ql.SpaceTimeField(mp, grid, [0.0, 0.5], np.zeros((1, 5)))
 
 
+@pytest.mark.parametrize("origin, extent, t0, t1", [
+    (np.nan, 1.0, 0.0, 1.0), (0.0, np.inf, 0.0, 1.0),
+    (0.0, 1.0, np.nan, 1.0), (0.0, 1.0, 0.0, np.inf),
+])
+def test_grid_rejects_non_finite_metadata(origin, extent, t0, t1):
+    with pytest.raises(ValidationError, match="finite"):
+        ql.GridSpec(origin=[origin], extent=[extent], cells=[4], time_start=t0, time_end=t1)
+
+
+def test_field_rejects_non_finite_times():
+    mp = ql.ModelParams(p=3.0, n=1)
+    grid = ql.GridSpec(origin=[0.0], extent=[1.0], cells=[4], time_start=0.0, time_end=1.0)
+    with pytest.raises(ValidationError, match="finite"):
+        ql.SpaceTimeField(mp, grid, [0.0, np.nan], np.zeros((2, 5)))
+
+
+def test_slab_window_is_a_cut_of_the_whole_slab():
+    f = make_field(lambda xs, t: np.sin(3.0 * xs[:, 0] * xs[:, 1]) + t ** 2, cells=16, n=2)
+    window = (slice(3, 9), slice(5, 12))
+    for t in (0.0, 0.37, 1.0):
+        assert np.array_equal(f.slab(t, window), f.slab(t)[window])
+
+
 def test_sample_exact_at_nodes():
     f = make_field(lambda xs, t: np.sin(xs[:, 0]) + t ** 2)
     x = f.grid.axis_nodes(0)[3]

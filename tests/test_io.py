@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quenchlab as ql
+from quenchlab.cli import main as cli_main
 from quenchlab.errors import CorruptFileError, ValidationError
 from quenchlab.qlf import atomic_write
 
@@ -104,6 +105,18 @@ def test_crafted_semantic_errors_stay_validation_errors(tmp_path, p, cells, exte
     path.write_bytes(_qlf_bytes(1, p, [cells], [0.0], [extent], times, values))
     with pytest.raises(ValidationError, match=match):
         ql.load_field(path)
+
+
+@pytest.mark.parametrize("origin, extent, times", [
+    (np.nan, 1.0, [0.0, 1.0]), (0.0, np.inf, [0.0, 1.0]),
+    (0.0, 1.0, [0.0, np.inf]), (0.0, 1.0, [0.0, np.nan]),
+])
+def test_crafted_non_finite_metadata_is_corrupt(tmp_path, origin, extent, times):
+    path = tmp_path / "f.qlf"
+    path.write_bytes(_qlf_bytes(1, 3.0, [2], [origin], [extent], times, np.zeros(6)))
+    with pytest.raises(CorruptFileError, match="non-finite"):
+        ql.load_field(path)
+    assert cli_main(["analyze", "--field", str(path), "--op", "almgren_scan"]) == 5
 
 
 _VALID = _qlf_bytes(1, 3.0, [4], [-1.0], [2.0], [0.0, 0.5, 1.0], np.linspace(-1.0, 1.0, 15))
@@ -239,6 +252,15 @@ def test_config_rejects_unknown_analysis(tmp_path):
 def test_config_parse_error_carries_location(tmp_path):
     with pytest.raises(ValidationError, match="parse error"):
         ql.parse_config_text("[run\nmode = solve")
+
+
+def test_config_rejects_non_finite_grid(tmp_path):
+    text = MINIMAL.format(out=tmp_path / "out").replace("origin = [-1.0]", "origin = [NaN]")
+    with pytest.raises(ValidationError, match="finite"):
+        ql.parse_config_text(text)
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    assert cli_main(["simulate", "--config", str(ini)]) == 2
 
 
 def test_config_requires_boundary_for_solve(tmp_path):

@@ -33,7 +33,7 @@ def test_weighted_energy_constant_field_closed_form(p3_1d):
     # E(s) = -sqrt(s) c^-2 / 2 - c^2 / (8 sqrt(s)) for u = c, p = 3
     grid = ql.GridSpec(origin=[-4.0], extent=[8.0], cells=[1024],
                        time_start=-1.0, time_end=0.0)
-    f = ql.profile_field(p3_1d, grid, [-1.0, -0.5, 0.0], "constant", exponent=1.3)
+    f = ql.profile_field(p3_1d, grid, [-1.0, -0.5, 0.0], "constant", value=1.3)
     c = 1.3
     for s in (0.02, 0.005):
         got = ql.weighted_energy(f, QUENCH, s, ql.WeightSpec(truncation_multiple=8.0))
@@ -132,7 +132,7 @@ def test_frequency_abs_x1x2():
 def test_frequency_constant_field(p3_1d):
     grid = ql.GridSpec(origin=[-6.0], extent=[12.0], cells=[1024],
                        time_start=-1.0, time_end=0.0)
-    f = ql.profile_field(p3_1d, grid, [-1.0, 0.0], "constant", exponent=0.7)
+    f = ql.profile_field(p3_1d, grid, [-1.0, 0.0], "constant", value=0.7)
     H, D, N = ql.frequency(f, ql.ParabolicPoint((0.0,), 0.0), 0.25, BARE)
     assert H == pytest.approx(0.49, rel=1e-6)
     assert D == pytest.approx(0.0, abs=1e-12)
@@ -142,7 +142,7 @@ def test_frequency_constant_field(p3_1d):
 def test_frequency_none_when_height_underflows(p3_1d):
     grid = ql.GridSpec(origin=[-6.0], extent=[12.0], cells=[256],
                        time_start=-1.0, time_end=0.0)
-    f = ql.profile_field(p3_1d, grid, [-1.0, 0.0], "constant", exponent=1.0)
+    f = ql.profile_field(p3_1d, grid, [-1.0, 0.0], "constant", value=1.0)
     zero = ql.SpaceTimeField(p3_1d, grid, f.times, np.zeros_like(f.values))
     H, D, N = ql.frequency(zero, ql.ParabolicPoint((0.0,), 0.0), 0.25, BARE)
     assert H == 0.0 and N is None

@@ -86,7 +86,7 @@ def test_distributional_radial_off_center(p3_2d):
 
 
 def test_distributional_constant_field_equals_bump_mass(p3_1d):
-    f = profile("constant", exponent=1.0, ntimes=321)
+    f = profile("constant", ntimes=321)
     psi = centered_bump(1)
     rep = ql.distributional_residual(f, psi)
     # residual is exactly the forcing term: int psi over space-time
@@ -96,7 +96,7 @@ def test_distributional_constant_field_equals_bump_mass(p3_1d):
 
 
 def test_distributional_requires_inside_support(p3_1d):
-    f = profile("constant", exponent=1.0)
+    f = profile("constant")
     psi = ql.SpaceTimeBump(space=ql.CutoffSpec((0.9,), 0.25, 0.5),
                            time=ql.TimeWindow(center=0.0, inner=0.3, outer=0.6))
     with pytest.raises(DomainError):

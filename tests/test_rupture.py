@@ -34,7 +34,7 @@ def test_seminorm_collapse_oracle(p3_1d):
 
 
 def test_seminorm_constant_field(p3_1d):
-    f = ql.profile_field(p3_1d, grid_1d(64), [-1.0, -0.5], "constant", exponent=2.0)
+    f = ql.profile_field(p3_1d, grid_1d(64), [-1.0, -0.5], "constant", value=2.0)
     est = ql.holder_seminorm(f, 0.5, budget=1000, seed=0)
     assert est.seminorm == 0.0
 
@@ -117,7 +117,7 @@ def test_rupture_set_radial_slab(p3_2d):
 
 
 def test_rupture_set_empty_when_positive(p3_1d):
-    f = ql.profile_field(p3_1d, grid_1d(32), [-1.0, -0.5], "constant", exponent=1.0)
+    f = ql.profile_field(p3_1d, grid_1d(32), [-1.0, -0.5], "constant", value=1.0)
     assert len(ql.rupture_set(f, 0.5)) == 0
 
 

@@ -64,9 +64,8 @@ def test_step_heat_preserves_linear():
     init = ql.field_from_function(mp, grid, [0.0], lambda xs, t: 1.0 + 2.0 * xs[:, 0])
     bd = ql.BoundaryData(kind="analytic_trace",
                          value_fn=lambda xs, t: 1.0 + 2.0 * xs[:, 0])
-    cfg = ql.SolverConfig(reaction_enabled=False)
     ws = _Workspace(grid, periodic=False)
-    out = step(init.values[0], 0.0, 0.01, mp, ws, bd, cfg)
+    out = step(init.values[0], 0.0, 0.01, mp, ws, bd, ql.SolverConfig(), reaction=False)
     assert np.max(np.abs(out - init.values[0])) < 1e-12
 
 
@@ -203,9 +202,13 @@ def test_comparison_guard_examples():
     field, _ = ql.solve_until_quench(init, bd, cfg)
     assert ql.comparison_guard(field, bd, cfg) <= 1e-6
     # pure heat diagnostic: identical schemes agree to roundoff
-    cfg_heat = ql.SolverConfig(dt_initial=2e-3, reaction_enabled=False)
-    f2, _ = ql.solve_until_quench(init, bd, cfg_heat)
-    assert abs(ql.comparison_guard(f2, bd, cfg_heat)) <= 1e-12
+    ws = _Workspace(init.grid, periodic=False)
+    times = np.linspace(0.0, 0.5, 51)
+    heat = [init.values[0]]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        heat.append(step(heat[-1], t0, t1 - t0, mp, ws, bd, cfg, reaction=False))
+    f2 = ql.SpaceTimeField(mp, init.grid, times, heat, boundary_kind="dirichlet_traced")
+    assert abs(ql.comparison_guard(f2, bd, cfg)) <= 1e-12
     # constant-1 data: u sits strictly below the caloric majorant
     grid = ql.GridSpec(origin=[-1.0], extent=[2.0], cells=[64], time_start=0.0, time_end=0.05)
     init1 = ql.field_from_function(mp, grid, [0.0], lambda xs, t: np.ones(xs.shape[0]))
