@@ -17,7 +17,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .grid import GridSpec
 
 
 def _sigma(z):
@@ -159,13 +158,6 @@ class SpaceTimeBump:
 
     def time_support(self) -> Tuple[float, float]:
         return self.time.support()
-
-    def inside(self, grid: GridSpec, t_lo: float, t_hi: float) -> bool:
-        lo, hi = self.support_box()
-        ta, tb = self.time.support()
-        return (np.all(np.asarray(lo) >= np.asarray(grid.origin))
-                and np.all(np.asarray(hi) <= np.asarray(grid.upper()))
-                and ta >= t_lo and tb <= t_hi)
 
 
 COORDINATE = "coordinate_bump"

@@ -77,11 +77,8 @@ def rescale(field: SpaceTimeField, spec: BlowupSpec, target_grid: GridSpec,
     scale = spec.normalization * lam ** alpha
 
     src_pts = x0 + lam * target_grid.node_points()
-    if not np.all(field.grid.contains(src_pts)):
-        raise DomainError(f"rescaled window escapes the source domain at lambda={lam}")
     src_times = t0 + lam ** 2 * target_times
-    if src_times[0] < field.times[0] - 1e-12 or src_times[-1] > field.times[-1] + 1e-12:
-        raise DomainError(f"rescaled time window escapes stored history at lambda={lam}")
+    field.require_inside(src_pts, src_times, f"rescaled window at lambda={float(lam)}")
 
     vals = np.empty((target_times.size,) + target_grid.node_shape)
     for j, ts in enumerate(src_times):
@@ -98,23 +95,22 @@ def self_similarity_residual(field: SpaceTimeField, base_point: ParabolicPoint,
     Returns max over lambda of sup over sampled window nodes of
     |u(X) - lam^-alpha u(x0 + lam (x - x0), t0 + lam^2 (t - t0))|.
     Zero (to float precision) iff the field is backward self-similar on the
-    sampled set.  The window must lie in t <= t0.
+    sampled set.  The window must lie in t <= t0 and, with its image under
+    every lambda, in the stored data.
     """
     lo, hi = window.time_window()
     if hi > base_point.t + 1e-12:
         raise DomainError("self-similarity window must lie in t <= t0 of the base point")
-    g = field.grid
     c = np.asarray(window.center.x)
     x0 = np.asarray(base_point.x)
     alpha = field.params.alpha
+    field.require_inside((c - window.radius, c + window.radius), (lo, hi),
+                         "self-similarity window")
 
     # sample the window on the source grid resolution
-    pts = g.node_points()
+    pts = field.grid.node_points()
     pts = pts[np.all((pts >= c - window.radius) & (pts <= c + window.radius), axis=-1)]
-    if pts.shape[0] == 0:
-        raise DomainError("window contains no grid nodes")
-    in_ball = np.linalg.norm(pts - c, axis=-1) <= window.radius
-    pts = pts[in_ball]
+    pts = pts[np.linalg.norm(pts - c, axis=-1) <= window.radius]
     times = field.times[(field.times > lo) & (field.times <= hi)]
     if times.size == 0 or pts.shape[0] == 0:
         raise DomainError("window contains no stored samples")
@@ -122,12 +118,10 @@ def self_similarity_residual(field: SpaceTimeField, base_point: ParabolicPoint,
     worst = 0.0
     for lam in lambdas:
         mapped = x0 + lam * (pts - x0)
-        if not np.all(field.grid.contains(mapped)):
-            raise DomainError(f"rescaled window escapes the domain at lambda={lam}")
+        field.require_inside(mapped, base_point.t + lam ** 2 * (times - base_point.t),
+                             f"rescaled window at lambda={float(lam)}")
         for t in times:
             ts_m = base_point.t + lam ** 2 * (t - base_point.t)
-            if ts_m < field.times[0] - 1e-12 or ts_m > field.times[-1] + 1e-12:
-                raise DomainError(f"rescaled time escapes stored history at lambda={lam}")
             u = sample_many(field, pts, np.full(pts.shape[0], t))
             v = sample_many(field, mapped, np.full(pts.shape[0], ts_m))
             worst = max(worst, float(np.max(np.abs(u - lam ** (-alpha) * v))))

@@ -3,7 +3,9 @@
 A SpaceTimeField stores one spatial slab of node values per stored time.
 Interpolation is multilinear in space and linear in time.  Derivatives live
 with their users: cell-centre gradients and interval slopes in `quadrature`,
-the nodal Laplacian in `solver`.  Everything here treats fields as immutable
+the nodal Laplacian in `solver`.  `require_inside` decides for every op
+whether a space-time window lies in the stored data; a window that does not
+is refused, never clipped.  Everything here treats fields as immutable
 snapshots, so concurrent reads are safe.
 """
 
@@ -74,14 +76,32 @@ class SpaceTimeField:
         i, w = self.time_brackets(np.asarray([t], dtype=float))
         return int(i[0]), float(w[0])
 
+    def require_inside(self, box, ts, what: str = ""):
+        """Raise DomainError, naming the window what, unless every time in ts
+        lies in the stored history and every row of box (its lo and hi corners,
+        or any points; None skips) in the grid.  Times may pass the ends by
+        1e-12 of the history's span, points the grid by `GridSpec.contains`'
+        slack.  Every window an op reads is checked here, so none is clipped.
+        """
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        times = self.times
+        slack = 1e-12 * max(times[-1] - times[0], 1e-300)
+        bad = (ts < times[0] - slack) | (ts > times[-1] + slack)
+        prefix = f"{what}: " if what else ""
+        if bad.any():
+            raise DomainError(f"{prefix}time {float(ts[bad].min())!r} outside stored range "
+                              f"[{float(times[0])!r}, {float(times[-1])!r}]")
+        if box is not None:
+            pts = np.atleast_2d(np.asarray(box, dtype=float))
+            out = ~self.grid.contains(pts)
+            if out.any():
+                raise DomainError(f"{prefix}point {pts[out][0].tolist()} outside the grid "
+                                  f"{list(self.grid.origin)} to {list(self.grid.upper())}")
+
     def time_brackets(self, ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """time_bracket for every entry of ts: index and weight arrays."""
+        self.require_inside(None, ts)
         times = self.times
-        span = max(times[-1] - times[0], 1e-300)
-        bad = (ts < times[0] - 1e-12 * span) | (ts > times[-1] + 1e-12 * span)
-        if bad.any():
-            raise DomainError(f"time {ts[bad].min()} outside stored range "
-                              f"[{times[0]}, {times[-1]}]")
         if times.size == 1:
             return np.zeros(ts.shape, dtype=int), np.zeros(ts.shape)
         i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, times.size - 2)
@@ -143,10 +163,7 @@ def sample_many(field: SpaceTimeField, xs: np.ndarray, ts: np.ndarray) -> np.nda
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if xs.shape[1] != field.n:
         raise UsageError(f"points have dimension {xs.shape[1]}, field has {field.n}")
-    inside = field.grid.contains(xs)
-    if not np.all(inside):
-        bad = xs[~inside][0]
-        raise DomainError(f"point {tuple(bad)} outside the spatial domain")
+    field.require_inside(xs, ts, "sample")
     idx, frac = _spatial_weights(field.grid, xs)
     i, w = field.time_brackets(ts)
     va = _interp_slab(field.grid, field.values, idx, frac, lead=(i,))

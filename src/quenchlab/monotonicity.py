@@ -108,21 +108,19 @@ def _gaussian_weights(field: SpaceTimeField, x0: ParabolicPoint, s: float,
     t_eval = x0.t - s
     if s <= 0:
         raise UsageError("s must be positive")
-    if t_eval < field.times[0] - 1e-12 or t_eval > field.times[-1] + 1e-12:
-        raise DomainError(f"slab t0 - s = {t_eval} is outside the stored history")
     radius = w.truncation_multiple * np.sqrt(s)
     c = np.asarray(x0.x)
     eta = w.eta.resolved(x0.x) if w.eta is not None else None
     lo = c - radius
     hi = c + radius
+    support = None
     if eta is not None:
         ec = np.asarray(eta.center)
-        g = field.grid
-        if (np.any(ec - eta.outer_radius < np.asarray(g.origin) - 1e-12) or
-                np.any(ec + eta.outer_radius > np.asarray(g.upper()) + 1e-12)):
-            raise DomainError("cutoff support must sit inside the spatial domain")
-        lo = np.maximum(lo, ec - eta.outer_radius)
-        hi = np.minimum(hi, ec + eta.outer_radius)
+        support = (ec - eta.outer_radius, ec + eta.outer_radius)
+        lo = np.maximum(lo, support[0])
+        hi = np.minimum(hi, support[1])
+    # the bare kernel's ball is cut to the grid: its kept mass is not checked
+    field.require_inside(support, t_eval, f"slab t0 - s at s={float(s)}")
     cells = slab_cells(field, t_eval, box=(tuple(lo), tuple(hi)))
     if cells.u.size == 0:
         raise DomainError("weighted integral window misses the spatial domain")
@@ -198,7 +196,7 @@ def density_estimate(field: SpaceTimeField, x0: ParabolicPoint, w: WeightSpec,
     if not s_min < s_max:
         raise UsageError("s_min < s_max required")
     if field.times.size >= 2:
-        dt_near = field.local_dt(min(max(x0.t - s_min, field.times[0]), field.times[-1]))
+        dt_near = field.local_dt(x0.t - s_min)
         if s_min < 4.0 * dt_near:
             raise UsageError(
                 f"s_min={s_min:g} under-resolves the stored steps near t0 "

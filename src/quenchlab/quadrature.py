@@ -152,10 +152,8 @@ def spacetime_blocks(field: SpaceTimeField, t_lo=None, t_hi=None,
     times = field.times
     if times.size < 2:
         return
-    a = times[0] if t_lo is None else max(t_lo, times[0])
-    b = times[-1] if t_hi is None else min(t_hi, times[-1])
-    if b <= a:
-        return
+    a = -np.inf if t_lo is None else t_lo
+    b = np.inf if t_hi is None else t_hi
     win = _cell_window(g, box)
     if win is None:
         return

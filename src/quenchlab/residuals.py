@@ -12,8 +12,11 @@ the two-valued check integrates conditions (ii)-(v) in one call per distinct
 time window, so each stored interval's block is built once for all of their
 test functions.  (ii), (iv) and (v) reuse the single-identity integrands
 without their u-power terms: -distributional_residual, 2 x
-stationary_residual and 2 x energy_inequality_defect.  Nothing here proves a
-field *is* a weak solution; the reports only falsify up to tolerance.
+stationary_residual and 2 x energy_inequality_defect.  Every test function's
+support (and the energy inequality's [t1, t2]) must lie in the stored data
+(`SpaceTimeField.require_inside`): a clipped support drops boundary terms.
+Nothing here proves a field *is* a weak solution; the reports only falsify
+up to tolerance.
 """
 
 from dataclasses import dataclass
@@ -50,11 +53,6 @@ def _report(res: Integral) -> ResidualReport:
     return ResidualReport(res.value, res.scale, res.cells, res.excluded_fraction)
 
 
-def _require_inside(field: SpaceTimeField, bump: SpaceTimeBump):
-    if not bump.inside(field.grid, field.times[0], field.times[-1]):
-        raise DomainError("test function support must sit inside the field domain")
-
-
 class _TimeFactors:
     """w(t) and w'(t) of each distinct time window, evaluated once per block time.
 
@@ -87,7 +85,7 @@ def distributional_residual(field: SpaceTimeField, psi: SpaceTimeBump,
     below the floor are excluded from the u^-p term and their share of the
     support measure is reported.
     """
-    _require_inside(field, psi)
+    field.require_inside(psi.support_box(), psi.time_support(), "test function support")
     if float(field.values.min()) < 0:
         raise UsageError("distributional residual requires u >= 0")
     floor = singular_floor(field, u_floor) if potential else None
@@ -151,7 +149,7 @@ def stationary_residual(field: SpaceTimeField, Y: TestVectorField,
     refinement.  The support of Y must sit inside the field domain: clipping
     it would drop the boundary terms of the identity.
     """
-    _require_inside(field, Y.bump)
+    field.require_inside(Y.support_box(), Y.time_support(), "test function support")
     floor = singular_floor(field, u_floor) if potential else None
     res, = integrate(field, [_stationary(field, Y, _TimeFactors())], *Y.time_support(),
                      floor=floor)
@@ -190,8 +188,9 @@ def energy_inequality_defect(field: SpaceTimeField, eta: SpaceTimeBump,
     Cells below the floor leave the u-power terms; their share of eta's
     support is reported.
     """
-    if not (field.times[0] - 1e-12 <= t1 < t2 <= field.times[-1] + 1e-12):
-        raise DomainError("need t1 < t2 within the stored time range")
+    if not t1 < t2:
+        raise DomainError("need t1 < t2")
+    field.require_inside(eta.support_box(), (t1, t2), "eta's box over [t1, t2]")
     floor = singular_floor(field, u_floor) if potential else None
     res, = integrate(field, [_energy(field, eta, _TimeFactors())], t1, t2, floor=floor)
     return _energy_report(field, eta, t1, t2, floor, res)
@@ -252,11 +251,9 @@ def default_bump_dictionary(field: SpaceTimeField, centers_per_axis: int = 3,
     axes = [g.origin[k] + fracs * g.extent[k] for k in range(g.n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([m.ravel() for m in mesh], axis=-1)
-    lo = np.asarray(g.origin)
-    hi = np.asarray(g.upper())
     for c in centers:
         for r in radii:
-            if np.all(c - r >= lo) and np.all(c + r <= hi):
+            if np.all(g.contains(np.array([c - r, c + r]))):
                 bumps.append(SpaceTimeBump(
                     space=CutoffSpec(tuple(c), 0.5 * r, r), time=tw))
     if not bumps:
@@ -289,7 +286,7 @@ def two_valued_caloric_check(field: SpaceTimeField,
 
     (ii) is -distributional_residual, (iv) 2 x stationary_residual and (v)
     2 x energy_inequality_defect over eta's time support, all without u-power
-    terms; every eta and Y must sit inside the field domain.  (i) is one pass
+    terms; every test function must sit inside the field domain.  (i) is one pass
     over the full stored range; (ii)-(v) share one pass per distinct time
     support of their test functions.  Returns one report per condition; (ii)
     reports the worst case over the bump dictionary, (iii)-(v) over the
@@ -302,10 +299,8 @@ def two_valued_caloric_check(field: SpaceTimeField,
     bumps = list(nonneg_bumps) if nonneg_bumps is not None else default_bump_dictionary(field)
     if not (etas and Ys and bumps):
         raise UsageError("every condition needs at least one test function")
-    for eta in etas:
-        _require_inside(field, eta)
-    for Y in Ys:
-        _require_inside(field, Y.bump)
+    for test in bumps + list(etas) + list(Ys):
+        field.require_inside(test.support_box(), test.time_support(), "test function support")
     reports: Dict[str, ResidualReport] = {}
 
     # (i) finiteness over the full stored domain

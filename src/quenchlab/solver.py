@@ -229,13 +229,14 @@ def solve_until_quench(initial: SpaceTimeField, boundary: BoundaryData,
     """
     if initial.times.size != 1:
         raise UsageError("initial field must hold exactly one slab")
-    values = initial.values[0].copy()
-    if float(values.min()) < config.quench_threshold:
-        raise UsageError("initial data must be >= quench_threshold everywhere")
     params = initial.params
     grid = initial.grid
     periodic = boundary.kind == PERIODIC_BC
     ws = _Workspace(grid, periodic)
+    # stored as the solve sees it: a periodic seam node takes node 0's value
+    values = ws.to_full(ws.to_work(initial.values[0]))
+    if float(values.min()) < config.quench_threshold:
+        raise UsageError("initial data must be >= quench_threshold everywhere")
     t = float(initial.times[0])
     time_end = grid.time_end
     pexp = params.p + 1.0

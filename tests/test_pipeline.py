@@ -307,15 +307,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["analyze", "--field", str(out / "field.qlf"),
                      "--op", "apriori_scaling", "--point", "0.0,0.5"]) == 2  # missing radii
     ini3 = tmp_path / "apriori.ini"
-    ini3.write_text(SYNTH.format(out=out) + """
+    apriori = SYNTH.format(out=out) + """
 [analysis.ap]
 op = apriori_scaling
 point = [0.0, 0.5]
 quantity = "u_inv_p"
-radii = [2.0, 1.0, 0.5]
-""")
+radii = [1.0, 0.5, 0.25]
+"""
+    ini3.write_text(apriori)
     assert cli_main(["analyze", "--field", str(out / "field.qlf"),
                      "--op", "apriori_scaling", "--config", str(ini3)]) == 3
+    # Q_r at r = 2 starts at t = -3.5, before the stored history: refused
+    ini3.write_text(apriori.replace("[1.0, 0.5, 0.25]", "[2.0, 1.0, 0.5]"))
+    assert cli_main(["analyze", "--field", str(out / "field.qlf"),
+                     "--op", "apriori_scaling", "--config", str(ini3)]) == 2
 
 
 def test_threaded_analyses_match_serial(tmp_path, monkeypatch):
