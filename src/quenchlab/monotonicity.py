@@ -18,7 +18,7 @@ from .bumps import CutoffSpec
 from .errors import AccuracyWarning, DomainError, UsageError, ValidationError
 from .field import SpaceTimeField
 from .geometry import ParabolicPoint
-from .quadrature import floored_power, singular_floor, slab_cells
+from .quadrature import singular_floor, slab_cells
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class EnergyEval:
 
 def _gaussian_weights(field: SpaceTimeField, x0: ParabolicPoint, s: float,
                       w: WeightSpec):
-    """Cell centers, values, gradients and G*eta weights on the truncated ball."""
+    """The cells of the slab t0 - s on the truncated ball, and their G*eta weights."""
     n = field.n
     t_eval = x0.t - s
     if s <= 0:
@@ -129,18 +129,15 @@ def _gaussian_weights(field: SpaceTimeField, x0: ParabolicPoint, s: float,
     G = (4.0 * np.pi * s) ** (-n / 2.0) * np.exp(-y2 / (4.0 * s))
     G = np.where(y2 <= radius ** 2, G, 0.0)
     etav = eta.value(pts) if eta is not None else 1.0
-    return cells, G * etav * cells.volume, eta is not None
+    return cells, G * etav * cells.volume
 
 
 def weighted_energy_detail(field: SpaceTimeField, x0: ParabolicPoint, s: float,
                            w: WeightSpec, u_floor: Optional[float] = None) -> EnergyEval:
     p = field.params.p
-    cells, wgt, _ = _gaussian_weights(field, x0, s, w)
-    grad2 = sum(gk ** 2 for gk in cells.grad)
+    cells, wgt = _gaussian_weights(field, x0, s, w)
     ok = cells.u >= singular_floor(field, u_floor)
-    upow = floored_power(cells.u, ok, 1.0 - p)
-    term1 = s ** ((p - 1.0) / (p + 1.0)) * float(
-        (wgt * (0.5 * grad2 - upow / (p - 1.0))).sum())
+    term1 = s ** ((p - 1.0) / (p + 1.0)) * float((wgt * cells.energy_density(ok, p)).sum())
     term2 = -s ** (-2.0 / (p + 1.0)) / (2.0 * (p + 1.0)) * float((wgt * cells.u ** 2).sum())
     mass = float(wgt.sum())
     excl = float((wgt * ~ok).sum())
@@ -280,11 +277,10 @@ def frequency(field: SpaceTimeField, x0: ParabolicPoint, s: float, w: WeightSpec
     cutoff is applied (these are the whole-space functionals).
     """
     bare = WeightSpec(truncation_multiple=w.truncation_multiple, eta=None)
-    cells, wgt, _ = _gaussian_weights(field, x0, s, bare)
+    cells, wgt = _gaussian_weights(field, x0, s, bare)
     H = float((wgt * cells.u ** 2).sum())
-    grad2 = sum(gk ** 2 for gk in cells.grad)
-    D = s * float((wgt * grad2).sum())
-    sup = float(np.abs(field.values).max())
+    D = s * float((wgt * cells.grad2()).sum())
+    sup = max(float(field.values.max()), -float(field.values.min()))
     N = D / H if H > h_tol * max(sup * sup, 1e-300) else None
     return H, D, N
 

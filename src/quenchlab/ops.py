@@ -122,11 +122,6 @@ def _point(point, field: SpaceTimeField) -> ParabolicPoint:
     return ParabolicPoint(x, float(field.times[-1]))
 
 
-def _weight(truncation, eta, eta_inner, eta_outer) -> WeightSpec:
-    cutoff = CutoffSpec(None, eta_inner, eta_outer) if eta else None
-    return WeightSpec(truncation_multiple=truncation, eta=cutoff)
-
-
 def _run_density(field, ctx, *, s_min: float, s_max: float, point: Floats = None,
                  truncation: float = WeightSpec.truncation_multiple, eta: bool = True,
                  eta_inner: float = CutoffSpec.inner_radius,
@@ -134,7 +129,8 @@ def _run_density(field, ctx, *, s_min: float, s_max: float, point: Floats = None
                  tol_abs: float = SlackModel.tol_abs, tol_exp: float = SlackModel.tol_exp,
                  u_floor: Optional[float] = None):
     x0 = _point(point, field)
-    w = _weight(truncation, eta, eta_inner, eta_outer)
+    w = WeightSpec(truncation_multiple=truncation,
+                   eta=CutoffSpec(None, eta_inner, eta_outer) if eta else None)
     slack = SlackModel(tol_abs=tol_abs, tol_exp=tol_exp)
     theta, trace = density_estimate(field, x0, w, s_min, s_max, slack=slack, u_floor=u_floor)
     result = {
@@ -152,13 +148,11 @@ def _run_density(field, ctx, *, s_min: float, s_max: float, point: Floats = None
 
 def _run_almgren(field, ctx, *, point: Floats = None, s_grid: Floats = None,
                  s_min: float = 0.1, s_max: float = 1.0, num: int = 16,
-                 truncation: float = WeightSpec.truncation_multiple, eta: bool = True,
-                 eta_inner: float = CutoffSpec.inner_radius,
-                 eta_outer: float = CutoffSpec.outer_radius,
-                 caloric: bool = True, gamma_half: Optional[float] = None,
-                 violation_tol: float = 1e-6):
+                 truncation: float = WeightSpec.truncation_multiple, caloric: bool = True,
+                 gamma_half: Optional[float] = None, violation_tol: float = 1e-6):
     x0 = _point(point, field)
-    w = _weight(truncation, eta, eta_inner, eta_outer)
+    # frequency integrates against the bare kernel: no cutoff to configure
+    w = WeightSpec(truncation_multiple=truncation, eta=None)
     grid = s_grid if s_grid is not None else np.geomspace(s_min, s_max, num).tolist()
     trace = almgren_scan(field, x0, w, grid, caloric=caloric,
                          gamma_half_reference=gamma_half, violation_tol=violation_tol)

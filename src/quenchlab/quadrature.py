@@ -4,18 +4,23 @@ All analysis functionals integrate with the midpoint rule per (space-time)
 cell.  Values and gradients at cell centers are those of the multilinear
 interpolant, so fields that are polynomial of degree one per cell and axis
 (|x1|, |x1 x2| on aligned grids, ...) are integrated without interpolation
-error in u itself.  Every space-time integral (weak forms, scaling laws)
-goes through `integrate`, which takes several integrands, each with its own
-box, over one shared time window.  It streams `spacetime_blocks` one stored
-time interval at a time, builds each interval's block once over the union of
-the boxes and hands every integrand its slice.  An integrand's `prepare`
+error in u itself.  The cells of a slab (`slab_cells`) and of a stored time
+interval (`spacetime_blocks`, which adds dt and u_t) are one type, `Cells`,
+made by one builder; the cell quantities the functionals share live on it:
+|grad u|^2, grad u . v and the energy density |grad u|^2/2 - u^(1-p)/(p-1).
+Every space-time integral (weak forms, scaling laws) goes through
+`integrate`, which takes several integrands, each with its own box, over one
+shared time window.  It streams `spacetime_blocks` one stored time interval
+at a time, builds each interval's block once over the union of the boxes and
+hands every integrand its slice (`Cells.sub`).  An integrand's `prepare`
 step runs once per window on its cell centres, so spatial factors (a test
 function's eta, grad eta, Lap eta) are not re-evaluated per block.
 
 This module decides which cells cover a box, for slabs and blocks alike
 (`_cell_window`; stored slabs are cut to it before they are combined), and
 which cells are singular: u below the floor, by default h^alpha
-(`singular_floor`), where a u-power term is 0 (`floored_power`).
+(`singular_floor`), where a u-power term is 0 (`floored_power`, which the
+energy density's u^(1-p) goes through too).
 """
 
 from dataclasses import dataclass
@@ -27,38 +32,28 @@ from .field import SpaceTimeField
 from .grid import GridSpec
 
 
-def pool_corners(a: np.ndarray, n: int) -> np.ndarray:
-    """Mean over the 2^n corners of every spatial cell (last n axes)."""
-    for k in range(n):
-        ax = a.ndim - n + k
-        sl_lo = [slice(None)] * a.ndim
-        sl_hi = [slice(None)] * a.ndim
-        sl_lo[ax] = slice(0, -1)
-        sl_hi[ax] = slice(1, None)
-        a = 0.5 * (a[tuple(sl_lo)] + a[tuple(sl_hi)])
+def _ends(ax: int):
+    """Index tuples of the lower and the upper node of every cell along axis ax."""
+    before = (slice(None),) * ax
+    return before + (slice(0, -1),), before + (slice(1, None),)
+
+
+def pool_corners(a: np.ndarray, skip: Optional[int] = None) -> np.ndarray:
+    """Mean over the corners of every cell of the node array a, along every axis but skip."""
+    for ax in range(a.ndim):
+        if ax != skip:
+            lo, hi = _ends(ax)
+            a = 0.5 * (a[lo] + a[hi])
     return a
 
 
 def cell_gradient(slab: np.ndarray, h: float) -> List[np.ndarray]:
-    """Per-axis gradient of the multilinear interpolant at cell centers."""
-    n = slab.ndim
+    """Per-axis gradient of the multilinear interpolant at cell centers: the
+    difference along the axis, pooled over the cell's corners along the others."""
     out = []
-    for k in range(n):
-        sl_lo = [slice(None)] * n
-        sl_hi = [slice(None)] * n
-        sl_lo[k] = slice(0, -1)
-        sl_hi[k] = slice(1, None)
-        d = (slab[tuple(sl_hi)] - slab[tuple(sl_lo)]) / h
-        # average over the remaining axes to land on cell centers
-        for m in range(n):
-            if m == k:
-                continue
-            sl_a = [slice(None)] * n
-            sl_b = [slice(None)] * n
-            sl_a[m] = slice(0, -1)
-            sl_b[m] = slice(1, None)
-            d = 0.5 * (d[tuple(sl_a)] + d[tuple(sl_b)])
-        out.append(d)
+    for k in range(slab.ndim):
+        lo, hi = _ends(k)
+        out.append(pool_corners((slab[hi] - slab[lo]) / h, skip=k))
     return out
 
 
@@ -90,59 +85,65 @@ def floored_power(u: np.ndarray, ok: np.ndarray, e: float) -> np.ndarray:
     return np.where(ok, np.where(ok, u, 1.0) ** e, 0.0)
 
 
-def cell_points(centers: Tuple[np.ndarray, ...]) -> np.ndarray:
-    """Cell-center coordinates from per-axis centers, shape (len(c) for c) + (n,)."""
-    return np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1)
-
-
 @dataclass
-class SlabCells:
-    """Cell-center data of one spatial slab."""
+class Cells:
+    """Cell-center data of one spatial slab, or of one stored time interval
+    (possibly clipped), where u and grad are taken at its midpoint t_mid."""
 
-    centers: Tuple[np.ndarray, ...]   # 1-d center coordinates per axis
-    u: np.ndarray                     # cell-center values
-    grad: List[np.ndarray]            # per-axis gradient components
-    volume: float                     # cell volume h^n
+    t_mid: float                       # the slab's time, or the interval's midpoint
+    centers: Tuple[np.ndarray, ...]    # 1-d center coordinates per axis
+    u: np.ndarray                      # cell-center values
+    grad: List[np.ndarray]             # per-axis gradient components
+    volume: float                      # spatial cell volume h^n
+    dt: float = 0.0                    # clipped interval length; 0 for a slab
+    dtu: Optional[np.ndarray] = None   # the interval's slope; None for a slab
 
     def points(self) -> np.ndarray:
         """Cell-center coordinates, shape u.shape + (n,)."""
-        return cell_points(self.centers)
+        return np.stack(np.meshgrid(*self.centers, indexing="ij"), axis=-1)
+
+    def sub(self, sl: Tuple[slice, ...], centers: Tuple[np.ndarray, ...]) -> "Cells":
+        """The cells sl of these, whose per-axis centers are centers."""
+        return Cells(self.t_mid, centers, self.u[sl], [gk[sl] for gk in self.grad],
+                     self.volume, self.dt, None if self.dtu is None else self.dtu[sl])
+
+    def grad2(self) -> np.ndarray:
+        """|grad u|^2."""
+        return sum(gk ** 2 for gk in self.grad)
+
+    def grad_dot(self, v: np.ndarray) -> np.ndarray:
+        """grad u . v for v of shape u.shape + (n,)."""
+        return sum(gk * v[..., k] for k, gk in enumerate(self.grad))
+
+    def energy_density(self, ok: Optional[np.ndarray], p: float) -> np.ndarray:
+        """|grad u|^2/2 - u^(1-p)/(p-1); no u-power term when ok is None."""
+        density = 0.5 * self.grad2()
+        if ok is None:
+            return density
+        return density - floored_power(self.u, ok, 1.0 - p) / (p - 1.0)
 
 
-def slab_cells(field: SpaceTimeField, t: float, box=None) -> SlabCells:
+def _cells(grid: GridSpec, t: float, centers: Tuple[np.ndarray, ...], window: np.ndarray,
+           dt: float = 0.0, slope: Optional[np.ndarray] = None) -> Cells:
+    """The cells of a node window interpolated to time t; an interval's cells
+    also carry its clipped length dt and the cell means of its slope."""
+    return Cells(float(t), centers, pool_corners(window), cell_gradient(window, grid.spacing),
+                 grid.spacing ** grid.n, dt, None if slope is None else pool_corners(slope))
+
+
+def slab_cells(field: SpaceTimeField, t: float, box=None) -> Cells:
     """Cell-center values and gradients of the slab at time t."""
     g = field.grid
     win = _cell_window(g, box)
     if win is None:
-        # an empty window; caller treats the integral as zero
-        empty = tuple(np.empty(0) for _ in range(g.n))
-        z = np.zeros((0,) * g.n)
-        return SlabCells(empty, z, [z] * g.n, g.spacing ** g.n)
+        # an empty window (one node, no cell); caller treats the integral as zero
+        return _cells(g, t, tuple(np.empty(0) for _ in range(g.n)), np.zeros((1,) * g.n))
     slicer, centers = win
-    window = field.slab(t, slicer)
-    return SlabCells(
-        centers=centers,
-        u=pool_corners(window, g.n),
-        grad=cell_gradient(window, g.spacing),
-        volume=g.spacing ** g.n,
-    )
-
-
-@dataclass
-class SpaceTimeBlock:
-    """Cell-center data of one stored time interval (possibly clipped)."""
-
-    t_mid: float
-    dt: float                          # clipped interval length
-    centers: Tuple[np.ndarray, ...]
-    u: np.ndarray
-    grad: List[np.ndarray]
-    dtu: np.ndarray
-    volume: float                      # spatial cell volume h^n
+    return _cells(g, t, centers, field.slab(t, slicer))
 
 
 def spacetime_blocks(field: SpaceTimeField, t_lo=None, t_hi=None,
-                     box=None) -> Iterator[SpaceTimeBlock]:
+                     box=None) -> Iterator[Cells]:
     """Iterate space-time cells between stored slabs, clipped to [t_lo, t_hi].
 
     u and grad are evaluated at the (clipped) interval midpoint via the
@@ -158,8 +159,6 @@ def spacetime_blocks(field: SpaceTimeField, t_lo=None, t_hi=None,
     if win is None:
         return
     slicer, centers = win
-    h = g.spacing
-    vol = h ** g.n
     for j in range(times.size - 1):
         lo = max(times[j], a)
         hi = min(times[j + 1], b)
@@ -170,17 +169,8 @@ def spacetime_blocks(field: SpaceTimeField, t_lo=None, t_hi=None,
         dt_full = times[j + 1] - times[j]
         t_mid = 0.5 * (lo + hi)
         wm = (t_mid - times[j]) / dt_full
-        window = (1.0 - wm) * w_lo + wm * w_hi
-        slope = (w_hi - w_lo) / dt_full
-        yield SpaceTimeBlock(
-            t_mid=float(t_mid),
-            dt=float(hi - lo),
-            centers=centers,
-            u=pool_corners(window, g.n),
-            grad=cell_gradient(window, h),
-            dtu=pool_corners(slope, g.n),
-            volume=vol,
-        )
+        yield _cells(g, t_mid, centers, (1.0 - wm) * w_lo + wm * w_hi, float(hi - lo),
+                     (w_hi - w_lo) / dt_full)
 
 
 @dataclass
@@ -210,7 +200,7 @@ class Integrand:
     pts.  box None covers the whole grid.
     """
 
-    terms: Callable[[SpaceTimeBlock, Any, Optional[np.ndarray]],
+    terms: Callable[[Cells, Any, Optional[np.ndarray]],
                     Tuple[List[np.ndarray], Optional[np.ndarray]]]
     box: Optional[Tuple] = None
     prepare: Optional[Callable[[np.ndarray], Any]] = None
@@ -246,19 +236,14 @@ def integrate(field: SpaceTimeField, integrands: Sequence[Integrand], t_lo=None,
     # each integrand's cells within the union block's cells
     slices = {i: tuple(slice(a.start - o.start, a.stop - 1 - o.start) for a, o in zip(nodes, outer))
               for i, (nodes, _) in live.items()}
-    preps = None
+    preps = {}
     for blk in spacetime_blocks(field, t_lo, t_hi, box=union):
-        if preps is None:   # every block of one window shares its cell centers
-            preps = {}
-            for i, (_, centers) in live.items():
-                pts = cell_points(centers)
-                prepare = integrands[i].prepare
-                preps[i] = pts if prepare is None else prepare(pts)
         w = blk.dt * blk.volume
         for i, (_, centers) in live.items():
-            sl = slices[i]
-            sub = SpaceTimeBlock(blk.t_mid, blk.dt, centers, blk.u[sl],
-                                 [gk[sl] for gk in blk.grad], blk.dtu[sl], blk.volume)
+            sub = blk.sub(slices[i], centers)
+            if i not in preps:   # every block of one window shares its cell centers
+                prepare = integrands[i].prepare
+                preps[i] = sub.points() if prepare is None else prepare(sub.points())
             ok = None if floor is None else sub.u >= floor
             terms, support = integrands[i].terms(sub, preps[i], ok)
             res = out[i]

@@ -3,17 +3,19 @@
 Each operation turns a defining integral identity (distributional equation,
 stationarity, localized energy inequality, the five conditions of a
 stationary two-valued caloric function) into a quadrature residual with a
-scale for relative assessment.  Each identity is one `quadrature.Integrand`:
-its prepare step evaluates the test function's spatial factor (eta, grad eta,
-Lap eta) once per time window, and its per-block terms multiply that by the
-time factor w(t), evaluated once per block for each distinct window.  The
-single-identity functions are one-integrand calls of `quadrature.integrate`;
-the two-valued check integrates conditions (ii)-(v) in one call per distinct
-time window, so each stored interval's block is built once for all of their
-test functions.  (ii), (iv) and (v) reuse the single-identity integrands
-without their u-power terms: -distributional_residual, 2 x
-stationary_residual and 2 x energy_inequality_defect.  Every test function's
-support (and the energy inequality's [t1, t2]) must lie in the stored data
+scale for relative assessment.  Each identity is one `quadrature.Integrand`,
+whose terms take |grad u|^2, grad u . v and the energy density from
+`quadrature.Cells`: its prepare step evaluates the test function's spatial
+factor (eta, grad eta, Lap eta) once per time window, and its per-block terms
+multiply that by the time factor w(t), evaluated once per block for each
+distinct window.  The single-identity functions are one-integrand calls of
+`quadrature.integrate`; the two-valued check integrates conditions (ii)-(v)
+in one call per distinct time window, so each stored interval's block is
+built once for all of their test functions.  (ii), (iv) and (v) reuse the
+single-identity integrands without their u-power terms:
+-distributional_residual, 2 x stationary_residual and 2 x
+energy_inequality_defect.  Every test function's support (and the energy
+inequality's [t1, t2]) must lie in the stored data
 (`SpaceTimeField.require_inside`): a clipped support drops boundary terms.
 Nothing here proves a field *is* a weak solution; the reports only falsify
 up to tolerance.
@@ -128,14 +130,6 @@ def _dy_quadratic(jac: np.ndarray, grad: List[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _energy_density(u, grad, ok, p):
-    """|grad u|^2/2 - u^(1-p)/(p-1); the u-power term only when ok is given."""
-    density = 0.5 * sum(gk ** 2 for gk in grad)
-    if ok is None:
-        return density
-    return density - floored_power(u, ok, 1.0 - p) / (p - 1.0)
-
-
 def stationary_residual(field: SpaceTimeField, Y: TestVectorField,
                         u_floor: Optional[float] = None,
                         potential: bool = True) -> ResidualReport:
@@ -166,9 +160,9 @@ def _stationary(field: SpaceTimeField, Y: TestVectorField, times: _TimeFactors) 
         pts, eta, grad_eta = space
         w, _ = times(Y.bump.time, blk.t_mid)
         yv, div, jac = Y.at(pts, eta, grad_eta, w)
-        return [_energy_density(blk.u, blk.grad, ok, p) * div,
+        return [blk.energy_density(ok, p) * div,
                 -_dy_quadratic(jac, blk.grad),
-                -(blk.dtu * sum(blk.grad[k] * yv[..., k] for k in range(field.n)))], None
+                -(blk.dtu * blk.grad_dot(yv))], None
 
     return Integrand(terms, Y.support_box(), _eta_and_grad(Y.bump))
 
@@ -204,12 +198,10 @@ def _energy(field: SpaceTimeField, eta: SpaceTimeBump, times: _TimeFactors) -> I
         _, eta_x, grad_eta = space
         w, w1 = times(eta.time, blk.t_mid)
         ev = eta_x * w
-        eg = grad_eta * w
-        gdot = sum(blk.grad[k] * eg[..., k] for k in range(field.n))
         # the term order of two-valued condition (v), which is 2 x this bit for bit
         return [-(blk.dtu ** 2) * ev ** 2,
-                2.0 * _energy_density(blk.u, blk.grad, ok, p) * ev * (eta_x * w1),
-                -2.0 * blk.dtu * ev * gdot], ev != 0.0
+                2.0 * blk.energy_density(ok, p) * ev * (eta_x * w1),
+                -2.0 * blk.dtu * ev * blk.grad_dot(grad_eta * w)], ev != 0.0
 
     return Integrand(terms, eta.support_box(), _eta_and_grad(eta))
 
@@ -221,8 +213,7 @@ def _energy_report(field: SpaceTimeField, eta: SpaceTimeBump, t1: float, t2: flo
 
     def side(t):
         cells = slab_cells(field, t, box=eta.support_box())
-        ok = None if floor is None else cells.u >= floor
-        density = _energy_density(cells.u, cells.grad, ok, p)
+        density = cells.energy_density(None if floor is None else cells.u >= floor, p)
         ev = eta.space.value(cells.points()) * eta.time.value(t)
         return cells.volume * float((density * ev ** 2).sum())
 
@@ -304,13 +295,12 @@ def two_valued_caloric_check(field: SpaceTimeField,
     reports: Dict[str, ResidualReport] = {}
 
     # (i) finiteness over the full stored domain
-    full, = integrate(field, [Integrand(lambda blk, pts, ok: (
-        [sum(gk ** 2 for gk in blk.grad), blk.dtu ** 2], None))])
+    full, = integrate(field, [Integrand(lambda blk, pts, ok: ([blk.grad2(), blk.dtu ** 2], None))])
     reports["i"] = ResidualReport(full.value, max(full.measure, 1e-300), full.cells)
 
     times = _TimeFactors()
     jobs = ([(psi.time_support(), _distributional(field, psi, times)) for psi in bumps]
-            + [(eta.time_support(), _contact(field, eta, times)) for eta in etas]
+            + [(eta.time_support(), _contact(eta, times)) for eta in etas]
             + [(Y.time_support(), _stationary(field, Y, times)) for Y in Ys]
             + [(eta.time_support(), _energy(field, eta, times)) for eta in etas])
     res = _integrate_by_window(field, jobs)
@@ -329,18 +319,16 @@ def two_valued_caloric_check(field: SpaceTimeField,
     return reports
 
 
-def _contact(field: SpaceTimeField, eta: SpaceTimeBump, times: _TimeFactors) -> Integrand:
+def _contact(eta: SpaceTimeBump, times: _TimeFactors) -> Integrand:
     """Condition (iii): u_t u eta^2 + |grad u|^2 eta^2 + 2 eta u (grad u . grad eta)."""
 
     def terms(blk, space, ok):
         _, eta_x, grad_eta = space
         w, _ = times(eta.time, blk.t_mid)
         ev = eta_x * w
-        eg = grad_eta * w
-        gdot = sum(blk.grad[k] * eg[..., k] for k in range(field.n))
         return [blk.dtu * blk.u * ev ** 2,
-                sum(gk ** 2 for gk in blk.grad) * ev ** 2,
-                2.0 * ev * blk.u * gdot], None
+                blk.grad2() * ev ** 2,
+                2.0 * ev * blk.u * blk.grad_dot(grad_eta * w)], None
 
     return Integrand(terms, eta.support_box(), _eta_and_grad(eta))
 

@@ -317,7 +317,7 @@ def apriori_scaling_check(field: SpaceTimeField, X0: ParabolicPoint, quantity: s
         if quantity == "u_inv_p":
             density = floored_power(blk.u, ok, -p)
         else:
-            density = sum(gk ** 2 for gk in blk.grad) + floored_power(blk.u, ok, 1.0 - p)
+            density = blk.grad2() + floored_power(blk.u, ok, 1.0 - p)
         return [density * inside], inside
 
     vals = []

@@ -173,3 +173,13 @@ def test_readme_documents_every_op_kind_and_option():
     names = {name for _, _, name, _ in ENTRIES}
     names |= {option for entry in ENTRIES for option in _options(entry[3])}
     assert sorted(n for n in names if f"`{n}`" not in readme) == []
+
+
+@pytest.mark.parametrize("line", ["eta = false", "eta_inner = 0.5", "eta_outer = 1.0"])
+def test_almgren_scan_rejects_cutoff_options(line):
+    # H and D integrate against the bare kernel, so a cutoff never changed a number
+    key = line.split()[0]
+    text = (BASE.format(out="unused") + TIMES_SECTION + SYNTHETIC_SECTION
+            + f"\n[analysis.f]\nop = almgren_scan\n{line}\n")
+    with pytest.raises(ValidationError, match=re.escape(f"[analysis.f] unknown key {key!r}")):
+        ql.parse_config_text(text)

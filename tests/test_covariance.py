@@ -23,10 +23,12 @@ RADII = [0.4, 0.2, 0.1]
 # and tested by psi_t + Lap psi, (iii) and (iv) quadratic in u with one time
 # derivative, (v) the slab energy |grad u|^2 eta^2 dx
 TWO_VALUED_2D = {"ii": 2.0 ** -5, "iii": 2.0 ** -6, "iv": 2.0 ** -6, "v": 2.0 ** -2}
+# in 3D each integral carries one more length factor, 2^-2
+TWO_VALUED_3D = {"ii": 2.0 ** -7, "iii": 2.0 ** -8, "iv": 2.0 ** -8, "v": 2.0 ** -4}
 
 
 def _config(n, cells, twin, out):
-    """The dip solve (and, in 2D, the ops) of the parent run or of its twin."""
+    """The dip solve (and, in 2D and 3D, the ops) of the parent run or of its twin."""
     x, t, u = (X, T, U) if twin else (1.0, 1.0, 1.0)
     text = f"""[run]
 mode = solve
@@ -64,7 +66,7 @@ value = {1.0 / u!r}
 [analysis.guard]
 op = comparison_guard
 """
-    if n == 2:
+    if n >= 2:
         text += f"""
 [analysis.holder]
 op = holder_seminorm
@@ -156,6 +158,19 @@ def test_ops_are_covariant_in_2d(runs, tmp_path):
         for twin in (False, True))
     assert mass["expected"] == mass_t["expected"]
     assert abs(mass["exponent"] - mass_t["exponent"]) <= 16 * np.spacing(mass["exponent"])
+
+
+def test_holder_and_two_valued_are_covariant_in_3d(runs):
+    # (i) adds |grad u|^2 and |u_t|^2, which scale apart, so it is left out
+    (rep, _), (rep_t, _) = runs[3]
+    ops, ops_t = _blocks(rep), _blocks(rep_t)
+    for key in ("seminorm", "pairs_sampled"):
+        assert ops["holder_seminorm"][key] == ops_t["holder_seminorm"][key]
+    for cond, ratio in TWO_VALUED_3D.items():
+        for key in ("value", "scale"):
+            block = f"cond_{cond}"
+            assert ops["two_valued_check"][block][key] * ratio \
+                == ops_t["two_valued_check"][block][key]
 
 
 def test_apriori_refuses_cylinders_past_the_dip_history(runs):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import quenchlab as ql
 import quenchlab.quadrature as quadrature
-from quenchlab.quadrature import Integrand, cell_gradient, integrate, spacetime_blocks
+from quenchlab.quadrature import (Integrand, cell_gradient, integrate, slab_cells,
+                                  spacetime_blocks)
 
 
 def constant_field(value, times):
@@ -86,6 +87,21 @@ def test_several_integrands_equal_one_call_each(case):
     for a, b in zip(together, alone):
         assert (a.value, a.scale, a.cells, a.measure, a.excluded) == \
             (b.value, b.scale, b.cells, b.measure, b.excluded)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_multi_case())
+def test_slab_cells_equal_every_block_at_its_midpoint(case):
+    # slabs and blocks come from one builder: a block's u and grad are the
+    # slab's at the block's (clipped) midpoint, bit for bit, over the same box
+    field, integrands, (t_lo, t_hi), _ = case
+    for box in {it.box for it in integrands}:
+        for blk in spacetime_blocks(field, t_lo, t_hi, box):
+            cells = slab_cells(field, blk.t_mid, box)
+            assert (cells.t_mid, cells.dt, cells.dtu) == (blk.t_mid, 0.0, None)
+            assert all(np.array_equal(a, b) for a, b in zip(cells.centers, blk.centers))
+            assert np.array_equal(cells.u, blk.u)
+            assert all(np.array_equal(a, b) for a, b in zip(cells.grad, blk.grad))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
