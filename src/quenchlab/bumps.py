@@ -8,11 +8,13 @@ reproducible:
     q(s) = 0                          for s >= 1
 
 which equals sigma(1/s - 1/(1-s)) with the logistic sigma; that form is what
-the code evaluates (stable in float64, flat to all orders at both ends).
+the code evaluates (stable in float64, flat to all orders at both ends).  q,
+q' and q'' come from one pass over the transition, and a cutoff measures its
+offsets and radii once for its value, gradient or Laplacian.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -23,89 +25,78 @@ def _sigma(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def bump_profile(s):
-    """q(s) as above; vectorized."""
+def _profiles(s, *orders):
+    """q (order 0), q' (1) or q'' (2) at s for each order given, from one pass over 0 < s < 1."""
     s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    out[s <= 0.0] = 1.0
     mid = (s > 0.0) & (s < 1.0)
     sm = s[mid]
-    out[mid] = _sigma(1.0 / sm - 1.0 / (1.0 - sm))
-    return out
+    q = _sigma(1.0 / sm - 1.0 / (1.0 - sm))
+    if max(orders) >= 1:
+        gp = -1.0 / sm ** 2 - 1.0 / (1.0 - sm) ** 2
+    outs = []
+    for order in orders:
+        out = np.zeros_like(s)
+        if order == 0:
+            out[s <= 0.0] = 1.0
+            out[mid] = q
+        elif order == 1:
+            out[mid] = q * (1.0 - q) * gp
+        else:
+            gpp = 2.0 / sm ** 3 - 2.0 / (1.0 - sm) ** 3
+            out[mid] = q * (1.0 - q) * ((1.0 - 2.0 * q) * gp ** 2 + gpp)
+        outs.append(out)
+    return outs
+
+
+def bump_profile(s):
+    """q(s) as above; vectorized."""
+    return _profiles(s, 0)[0]
 
 
 def bump_profile_d1(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    mid = (s > 0.0) & (s < 1.0)
-    sm = s[mid]
-    q = _sigma(1.0 / sm - 1.0 / (1.0 - sm))
-    gp = -1.0 / sm ** 2 - 1.0 / (1.0 - sm) ** 2
-    out[mid] = q * (1.0 - q) * gp
-    return out
+    return _profiles(s, 1)[0]
 
 
 def bump_profile_d2(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    mid = (s > 0.0) & (s < 1.0)
-    sm = s[mid]
-    q = _sigma(1.0 / sm - 1.0 / (1.0 - sm))
-    gp = -1.0 / sm ** 2 - 1.0 / (1.0 - sm) ** 2
-    gpp = 2.0 / sm ** 3 - 2.0 / (1.0 - sm) ** 3
-    out[mid] = q * (1.0 - q) * ((1.0 - 2.0 * q) * gp ** 2 + gpp)
-    return out
+    return _profiles(s, 2)[0]
 
 
 @dataclass(frozen=True)
 class CutoffSpec:
-    """Radial plateau cutoff: 1 on B_inner(center), 0 outside B_outer(center).
+    """Radial plateau cutoff: 1 on B_inner(center), 0 outside B_outer(center)."""
 
-    center=None means "resolve to the evaluation base point"; the weighted
-    functionals use that to carry one cutoff shape across base points.
-    """
-
-    center: Optional[Tuple[float, ...]] = None
-    inner_radius: float = 0.5
-    outer_radius: float = 1.0
+    center: Tuple[float, ...]
+    inner_radius: float
+    outer_radius: float
 
     def __post_init__(self):
         if not (0.0 <= self.inner_radius < self.outer_radius):
             raise ValidationError(
                 f"need 0 <= inner < outer, got {self.inner_radius}, {self.outer_radius}")
-        if self.center is not None:
-            object.__setattr__(self, "center",
-                               tuple(float(v) for v in np.atleast_1d(self.center)))
-
-    def resolved(self, base_x) -> "CutoffSpec":
-        if self.center is not None:
-            return self
-        return CutoffSpec(tuple(base_x), self.inner_radius, self.outer_radius)
+        object.__setattr__(self, "center",
+                           tuple(float(v) for v in np.atleast_1d(self.center)))
 
     def _s(self, xs):
-        c = np.asarray(self.center)
-        r = np.linalg.norm(np.asarray(xs) - c, axis=-1)
-        return r, (r - self.inner_radius) / (self.outer_radius - self.inner_radius)
+        """Offsets d = xs - center, radii |d| and the profile argument s."""
+        d = np.asarray(xs) - np.asarray(self.center)
+        r = np.linalg.norm(d, axis=-1)
+        return d, r, (r - self.inner_radius) / (self.outer_radius - self.inner_radius)
 
     def value(self, xs):
-        _, s = self._s(xs)
-        return bump_profile(s)
+        return bump_profile(self._s(xs)[2])
 
     def grad(self, xs):
-        c = np.asarray(self.center)
-        d = np.asarray(xs) - c
-        r = np.linalg.norm(d, axis=-1)
-        width = self.outer_radius - self.inner_radius
-        s = (r - self.inner_radius) / width
-        dq = bump_profile_d1(s) / width
+        d, r, s = self._s(xs)
+        dq = bump_profile_d1(s) / (self.outer_radius - self.inner_radius)
         safe_r = np.where(r > 0, r, 1.0)
         return dq[..., None] * d / safe_r[..., None]
 
     def laplacian(self, xs, n: int):
-        r, s = self._s(xs)
+        r, s = self._s(xs)[1:]
         width = self.outer_radius - self.inner_radius
-        dq = bump_profile_d1(s) / width
-        d2q = bump_profile_d2(s) / width ** 2
+        dq, d2q = _profiles(s, 1, 2)
+        dq /= width
+        d2q /= width ** 2
         safe_r = np.where(r > 0, r, 1.0)
         out = d2q + dq * (n - 1) / safe_r
         # inside the plateau (and at the exact center) everything vanishes

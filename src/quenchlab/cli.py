@@ -73,7 +73,7 @@ def _cmd_analyze(args) -> int:
     if args.point:
         options["point"] = [float(v) for v in args.point.split(",")]
     op = OPS[args.op]
-    ctx = {"seed": seed, "boundary": boundary, "solver": solver, "quench": None}
+    ctx = {"seed": seed, "boundary": boundary, "solver": solver}
     result, _ = op(field, ctx, **check_options(f"--op {args.op}", op, options))
     report = Report(meta={"package": "quenchlab", "seed": seed, "config_digest": ""},
                     run={"mode": "analyze"},

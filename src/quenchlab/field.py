@@ -9,6 +9,7 @@ is refused, never clipped.  Everything here treats fields as immutable
 snapshots, so concurrent reads are safe.
 """
 
+import functools
 import itertools
 from typing import Tuple
 
@@ -64,6 +65,11 @@ class SpaceTimeField:
     @property
     def h(self) -> float:
         return self.grid.spacing
+
+    @functools.cached_property
+    def sup_norm(self) -> float:
+        """max |u| over the whole history; the values are read-only, so it cannot go stale."""
+        return max(float(self.values.max()), -float(self.values.min()))
 
     def __repr__(self):
         return (f"SpaceTimeField(n={self.n}, nodes={self.grid.node_shape}, "

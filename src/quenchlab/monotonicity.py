@@ -1,8 +1,9 @@
 """Gaussian-weighted monotone energy, density, and frequency functionals.
 
-E(s) is the backward heat-kernel weighted energy at a base point; its s -> 0
-limit (the density) is finite exactly at rupture points and diverges like a
-negative power at positivity points.  H, D and N = D/H form the parabolic
+E(s) is the backward heat-kernel weighted energy at a base point, cut off by a
+plateau centred on that point; its s -> 0 limit (the density) is finite
+exactly at rupture points and diverges like a negative power at positivity
+points.  H, D and N = D/H, taken against the bare kernel, form the parabolic
 frequency, nondecreasing in s for (two-valued) caloric fields, with
 d/ds log H = 2N/s.
 """
@@ -14,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import gammaincc
 
-from .bumps import CutoffSpec
+from .bumps import bump_profile
 from .errors import AccuracyWarning, DomainError, UsageError, ValidationError
 from .field import SpaceTimeField
 from .geometry import ParabolicPoint
@@ -26,17 +27,20 @@ class WeightSpec:
     """Heat-kernel truncation radius (in units of sqrt(s)) and optional cutoff.
 
     eta=None integrates against the bare truncated kernel (the full-space
-    variant used on entire blow-up limits); otherwise eta is the fixed spatial
-    plateau cutoff.  A cutoff with center=None recenters on the base point.
-    Reports record which variant was used and the analytic kernel tail bound.
+    variant used on entire blow-up limits); otherwise eta = (inner, outer) are
+    the radii of the plateau cutoff, which is centred on the base point by
+    definition: 1 on B_inner(x0) and 0 outside B_outer(x0).  Reports record
+    which variant was used and the analytic kernel tail bound.
     """
 
     truncation_multiple: float = 6.0
-    eta: Optional[CutoffSpec] = CutoffSpec(center=None, inner_radius=0.5, outer_radius=1.0)
+    eta: Optional[Tuple[float, float]] = (0.5, 1.0)
 
     def __post_init__(self):
         if self.truncation_multiple < 4.0:
             raise ValidationError("truncation_multiple must be >= 4")
+        if self.eta is not None and not 0.0 <= self.eta[0] < self.eta[1]:
+            raise ValidationError(f"need 0 <= inner < outer, got {self.eta[0]}, {self.eta[1]}")
 
     def tail_bound(self, n: int) -> float:
         """Heat-kernel mass outside the truncation ball |y| <= k sqrt(s)."""
@@ -95,41 +99,37 @@ class FrequencyTrace:
 @dataclass
 class EnergyEval:
     value: float
-    weighted_mass: float
     singular_fraction: float
-    tail_bound: float
     flagged: bool
 
 
 def _gaussian_weights(field: SpaceTimeField, x0: ParabolicPoint, s: float,
                       w: WeightSpec):
-    """The cells of the slab t0 - s on the truncated ball, and their G*eta weights."""
+    """The cells of the slab t0 - s on the truncated ball, and their G*eta weights.
+
+    The kernel, its ball and the cutoff all read one |y - x0|^2 per cell.
+    """
     n = field.n
     t_eval = x0.t - s
     if s <= 0:
         raise UsageError("s must be positive")
     radius = w.truncation_multiple * np.sqrt(s)
     c = np.asarray(x0.x)
-    eta = w.eta.resolved(x0.x) if w.eta is not None else None
-    lo = c - radius
-    hi = c + radius
-    support = None
-    if eta is not None:
-        ec = np.asarray(eta.center)
-        support = (ec - eta.outer_radius, ec + eta.outer_radius)
-        lo = np.maximum(lo, support[0])
-        hi = np.minimum(hi, support[1])
+    reach, support = radius, None
+    if w.eta is not None:
+        inner, outer = w.eta
+        reach, support = min(radius, outer), (c - outer, c + outer)
     # the bare kernel's ball is cut to the grid: its kept mass is not checked
     field.require_inside(support, t_eval, f"slab t0 - s at s={float(s)}")
-    cells = slab_cells(field, t_eval, box=(tuple(lo), tuple(hi)))
+    cells = slab_cells(field, t_eval, box=(tuple(c - reach), tuple(c + reach)))
     if cells.u.size == 0:
         raise DomainError("weighted integral window misses the spatial domain")
-    pts = cells.points()
-    y2 = np.sum((pts - c) ** 2, axis=-1)
+    y2 = np.sum((cells.points() - c) ** 2, axis=-1)
     G = (4.0 * np.pi * s) ** (-n / 2.0) * np.exp(-y2 / (4.0 * s))
     G = np.where(y2 <= radius ** 2, G, 0.0)
-    etav = eta.value(pts) if eta is not None else 1.0
-    return cells, G * etav * cells.volume
+    if w.eta is not None:
+        G = G * bump_profile((np.sqrt(y2) - inner) / (outer - inner))
+    return cells, G * cells.volume
 
 
 def weighted_energy_detail(field: SpaceTimeField, x0: ParabolicPoint, s: float,
@@ -142,8 +142,7 @@ def weighted_energy_detail(field: SpaceTimeField, x0: ParabolicPoint, s: float,
     mass = float(wgt.sum())
     excl = float((wgt * ~ok).sum())
     frac = excl / mass if mass > 0 else 0.0
-    flagged = frac > 0.01
-    return EnergyEval(term1 + term2, mass, frac, w.tail_bound(field.n), flagged)
+    return EnergyEval(term1 + term2, frac, frac > 0.01)
 
 
 def weighted_energy(field: SpaceTimeField, x0: ParabolicPoint, s: float,
@@ -273,14 +272,15 @@ def frequency(field: SpaceTimeField, x0: ParabolicPoint, s: float, w: WeightSpec
               h_tol: float = 1e-12) -> Tuple[float, float, Optional[float]]:
     """Height H = int u^2 G, energy D = s int |grad u|^2 G, frequency N = D/H.
 
-    Integrals run over the truncated kernel ball at the slab t0 - s; no
-    cutoff is applied (these are the whole-space functionals).
+    Integrals run over the truncated kernel ball at the slab t0 - s.  These
+    are the whole-space functionals, so w must carry no cutoff (eta=None).
     """
-    bare = WeightSpec(truncation_multiple=w.truncation_multiple, eta=None)
-    cells, wgt = _gaussian_weights(field, x0, s, bare)
+    if w.eta is not None:
+        raise UsageError("frequency integrates the bare kernel: pass a WeightSpec with eta=None")
+    cells, wgt = _gaussian_weights(field, x0, s, w)
     H = float((wgt * cells.u ** 2).sum())
     D = s * float((wgt * cells.grad2()).sum())
-    sup = max(float(field.values.max()), -float(field.values.min()))
+    sup = field.sup_norm
     N = D / H if H > h_tol * max(sup * sup, 1e-300) else None
     return H, D, N
 
@@ -291,8 +291,8 @@ def almgren_scan(field: SpaceTimeField, x0: ParabolicPoint, w: WeightSpec,
                  violation_tol: float = 1e-6) -> FrequencyTrace:
     """Frequency trace over an increasing s grid with monotonicity scanning.
 
-    Monotonicity of N is only a theorem for (two-valued) caloric fields; pass
-    caloric=False to record the trace without asserting the claim (the trace
+    w must carry no cutoff, as in `frequency`.  Monotonicity of N is only a
+    theorem for (two-valued) caloric fields; pass caloric=False to record the trace without asserting the claim (the trace
     keeps monotonicity_claimed=False).
     """
     s_grid = np.asarray(list(s_grid), dtype=float)

@@ -13,7 +13,7 @@ from typing import List, Literal, Optional, Union
 
 import numpy as np
 
-from .bumps import CutoffSpec, SpaceTimeBump, TestVectorField, TimeWindow
+from .bumps import CutoffSpec, SpaceTimeBump, TestVectorField
 from .errors import UsageError
 from .exact import (geometric_times, ode_field, ode_solution, profile_field, radial_field,
                     radial_steady, radial_steady_coeff, self_similarity_residual)
@@ -21,7 +21,7 @@ from .field import SpaceTimeField
 from .geometry import ParabolicCylinder, ParabolicPoint
 from .monotonicity import (SlackModel, WeightSpec, almgren_scan, density_estimate,
                            log_h_identity_error)
-from .residuals import two_valued_caloric_check
+from .residuals import default_time_window, two_valued_caloric_check
 from .rupture import (apriori_scaling_check, holder_seminorm, parabolic_box_dimension,
                       rupture_set, rupture_threshold, slice_dimension)
 from .solver import ANALYTIC_TRACE, CONSTANT, PERIODIC_BC, BoundaryData, comparison_guard
@@ -124,13 +124,11 @@ def _point(point, field: SpaceTimeField) -> ParabolicPoint:
 
 def _run_density(field, ctx, *, s_min: float, s_max: float, point: Floats = None,
                  truncation: float = WeightSpec.truncation_multiple, eta: bool = True,
-                 eta_inner: float = CutoffSpec.inner_radius,
-                 eta_outer: float = CutoffSpec.outer_radius,
+                 eta_inner: float = WeightSpec.eta[0], eta_outer: float = WeightSpec.eta[1],
                  tol_abs: float = SlackModel.tol_abs, tol_exp: float = SlackModel.tol_exp,
                  u_floor: Optional[float] = None):
     x0 = _point(point, field)
-    w = WeightSpec(truncation_multiple=truncation,
-                   eta=CutoffSpec(None, eta_inner, eta_outer) if eta else None)
+    w = WeightSpec(truncation_multiple=truncation, eta=(eta_inner, eta_outer) if eta else None)
     slack = SlackModel(tol_abs=tol_abs, tol_exp=tol_exp)
     theta, trace = density_estimate(field, x0, w, s_min, s_max, slack=slack, u_floor=u_floor)
     result = {
@@ -256,10 +254,7 @@ def _run_two_valued(field, ctx, *, center: Floats = None, r_out: Optional[float]
     g = field.grid
     c = [g.origin[k] + 0.5 * g.extent[k] for k in range(g.n)] if center is None else center
     r_out = 0.25 * min(g.extent) if r_out is None else r_out
-    span = float(field.times[-1] - field.times[0])
-    mid = 0.5 * float(field.times[0] + field.times[-1])
-    tw = TimeWindow(center=mid, inner=0.2 * span if t_inner is None else t_inner,
-                    outer=0.4 * span if t_outer is None else t_outer)
+    tw = default_time_window(field, t_inner, t_outer)
     bump = SpaceTimeBump(space=CutoffSpec(tuple(c), 0.5 * r_out, r_out), time=tw)
     ys = [TestVectorField(kind="coordinate_bump", bump=bump, axis=k) for k in range(g.n)]
     ys.append(TestVectorField(kind="radial_bump", bump=bump))

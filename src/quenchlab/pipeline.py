@@ -149,8 +149,7 @@ def run_pipeline(config: RunConfig, raise_errors: bool = True) -> Report:
         run_block["steps_taken"] = quench.steps_taken
         run_block["quench_points"] = [list(pt.x) + [pt.t] for pt in quench.quench_points[:8]]
 
-    ctx = {"seed": config.seed, "boundary": config.boundary,
-           "solver": config.solver, "quench": quench}
+    ctx = {"seed": config.seed, "boundary": config.boundary, "solver": config.solver}
 
     def run_one(item):
         index, req = item

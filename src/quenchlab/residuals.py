@@ -224,6 +224,15 @@ def _energy_report(field: SpaceTimeField, eta: SpaceTimeBump, t1: float, t2: flo
 
 # -- stationary two-valued caloric checker ------------------------------------
 
+def default_time_window(field: SpaceTimeField, inner: Optional[float] = None,
+                        outer: Optional[float] = None) -> TimeWindow:
+    """Centred mid-history; inner and outer default to 0.2 and 0.4 of the span."""
+    t0, t1 = float(field.times[0]), float(field.times[-1])
+    span = t1 - t0
+    return TimeWindow(center=0.5 * (t0 + t1), inner=0.2 * span if inner is None else inner,
+                      outer=0.4 * span if outer is None else outer)
+
+
 def default_bump_dictionary(field: SpaceTimeField, centers_per_axis: int = 3,
                             n_radii: int = 3) -> List[SpaceTimeBump]:
     """Nonnegative test bumps on a coarse lattice with a few radii.
@@ -232,9 +241,7 @@ def default_bump_dictionary(field: SpaceTimeField, centers_per_axis: int = 3,
     declared finite dictionary is what condition (ii) is checked against.
     """
     g = field.grid
-    t0, t1 = float(field.times[0]), float(field.times[-1])
-    span = t1 - t0
-    tw = TimeWindow(center=0.5 * (t0 + t1), inner=0.2 * span, outer=0.4 * span)
+    tw = default_time_window(field)
     bumps = []
     ext = min(g.extent)
     radii = [ext / 8.0, ext / 6.0, ext / 4.0][:n_radii]

@@ -180,3 +180,39 @@ def test_apriori_refuses_cylinders_past_the_dip_history(runs):
     x0 = ql.ParabolicPoint((0.0, 0.0), float(field.times[-1]))
     with pytest.raises(DomainError, match="Q_r at r=0.4"):
         ql.apriori_scaling_check(field, x0, "mass", RADII)
+
+
+def _radial_pair():
+    """The radial steady 32^2 field on [-1, 1]^2 and its lambda = 4 twin."""
+    mp = ql.ModelParams(p=P, n=2)
+    times = np.linspace(-0.25, 0.0, 33)
+    fields = []
+    for x, t in ((1.0, 1.0), (X, T)):
+        grid = ql.GridSpec(origin=[-1.0 / x] * 2, extent=[2.0 / x] * 2, cells=[32, 32],
+                           time_start=-0.25 / t, time_end=0.0)
+        fields.append(ql.radial_field(mp, grid, times / t))
+    return fields
+
+
+def test_weighted_ops_are_covariant_in_2d():
+    field, twin = _radial_pair()
+    x0 = ql.ParabolicPoint((0.0, 0.0), 0.0)
+    # E(s) is scale free: G dx and s^((p-1)/(p+1)) |grad u|^2 lose the same
+    # powers of two that u^2 and s^(-2/(p+1)) do, and the cutoff scales with X
+    theta, trace = ql.density_estimate(field, x0, ql.WeightSpec(eta=(0.5, 1.0)),
+                                       0.03125, 0.125)
+    theta_t, trace_t = ql.density_estimate(twin, x0, ql.WeightSpec(eta=(0.5 / X, 1.0 / X)),
+                                           0.03125 / T, 0.125 / T)
+    assert np.array_equal(trace.s_samples / T, trace_t.s_samples)
+    assert np.array_equal(trace.E_values, trace_t.E_values)
+    assert np.array_equal(trace.Ebar_values, trace_t.Ebar_values)
+    assert len(trace.violations) == len(trace_t.violations)
+    # theta is a lstsq fit in the s^alpha basis, which rounds afresh: 1 ulp seen
+    assert abs(theta - theta_t) <= 4 * np.spacing(abs(theta))
+    # H = int u^2 G and D = s int |grad u|^2 G both lose 2^-2; N = D/H is free
+    s_grid = np.geomspace(0.01, 0.2, 8)
+    bare = ql.WeightSpec(eta=None)
+    tr, tr_t = (ql.almgren_scan(f, x0, bare, s) for f, s in ((field, s_grid), (twin, s_grid / T)))
+    assert np.array_equal(tr.H_values * 2.0 ** -2, tr_t.H_values)
+    assert np.array_equal(tr.D_values * 2.0 ** -2, tr_t.D_values)
+    assert np.array_equal(tr.N_values, tr_t.N_values)

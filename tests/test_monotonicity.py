@@ -3,8 +3,9 @@ import pytest
 
 import quenchlab as ql
 import quenchlab.monotonicity as mono
-from quenchlab.errors import DomainError, UsageError
-from quenchlab.monotonicity import _average_over_octave
+from quenchlab.errors import DomainError, UsageError, ValidationError
+from quenchlab.monotonicity import _average_over_octave, _gaussian_weights
+from quenchlab.quadrature import slab_cells
 
 BARE = ql.WeightSpec(truncation_multiple=8.0, eta=None)
 QUENCH = ql.ParabolicPoint((0.0,), 0.0)
@@ -44,6 +45,54 @@ def test_weighted_energy_constant_field_closed_form(p3_1d):
 def test_weighted_energy_beyond_history(ode_field_dense):
     with pytest.raises(DomainError):
         ql.weighted_energy(ode_field_dense, QUENCH, 5.0, ql.WeightSpec())
+
+
+def _random_weight_case(rng):
+    """A random 1D-3D field, base point, truncation, cutoff radii (or none) and s."""
+    n = int(rng.integers(1, 4))
+    mp = ql.ModelParams(p=3.0, n=n)
+    grid = ql.GridSpec(origin=[-1.0] * n, extent=[2.0] * n,
+                       cells=[int(rng.integers(6, 40 // n))] * n,
+                       time_start=0.0, time_end=1.0)
+    times = [0.0, 0.5, 1.0]
+    values = rng.uniform(0.1, 2.0, size=(len(times),) + grid.node_shape)
+    field = ql.SpaceTimeField(mp, grid, times, values)
+    x0 = ql.ParabolicPoint(tuple(rng.uniform(-0.4, 0.4, size=n)), 1.0)
+    outer = float(rng.uniform(0.1, 0.5))
+    eta = None if rng.random() < 0.2 else (float(rng.uniform(0.0, 0.9)) * outer, outer)
+    w = ql.WeightSpec(truncation_multiple=float(rng.uniform(4.0, 8.0)), eta=eta)
+    return field, x0, w, float(np.exp(rng.uniform(np.log(1e-3), np.log(0.5))))
+
+
+def test_gaussian_weights_match_the_centred_cutoff_reference():
+    # the cutoff reads the kernel's |y - x0|^2 and its box is x0 +- min(k sqrt s,
+    # outer): the same bits as CutoffSpec(x0, inner, outer).value and the box
+    # cut by the cutoff's support
+    rng = np.random.default_rng(20261020)
+    for _ in range(60):
+        field, x0, w, s = _random_weight_case(rng)
+        cells, wgt = _gaussian_weights(field, x0, s, w)
+        c = np.asarray(x0.x)
+        radius = w.truncation_multiple * np.sqrt(s)
+        lo, hi = c - radius, c + radius
+        if w.eta is not None:
+            lo, hi = np.maximum(lo, c - w.eta[1]), np.minimum(hi, c + w.eta[1])
+        ref_cells = slab_cells(field, x0.t - s, box=(tuple(lo), tuple(hi)))
+        assert np.array_equal(cells.u, ref_cells.u)
+        pts = cells.points()
+        assert np.array_equal(pts, ref_cells.points())
+        y2 = np.sum((pts - c) ** 2, axis=-1)
+        G = (4.0 * np.pi * s) ** (-field.n / 2.0) * np.exp(-y2 / (4.0 * s))
+        G = np.where(y2 <= radius ** 2, G, 0.0)
+        eta = 1.0 if w.eta is None else ql.CutoffSpec(x0.x, *w.eta).value(pts)
+        assert np.array_equal(wgt, G * eta * cells.volume)
+
+
+def test_weight_spec_checks_cutoff_radii():
+    for eta in ((0.5, 0.5), (0.6, 0.5), (-0.1, 1.0)):
+        with pytest.raises(ValidationError, match="inner < outer"):
+            ql.WeightSpec(eta=eta)
+    assert ql.WeightSpec(eta=(0.0, 1.0)).eta == (0.0, 1.0)
 
 
 def test_octave_average_identity_and_linear():
@@ -146,6 +195,24 @@ def test_frequency_none_when_height_underflows(p3_1d):
     zero = ql.SpaceTimeField(p3_1d, grid, f.times, np.zeros_like(f.values))
     H, D, N = ql.frequency(zero, ql.ParabolicPoint((0.0,), 0.0), 0.25, BARE)
     assert H == 0.0 and N is None
+
+
+def test_frequency_refuses_a_cutoff():
+    # H, D and N are whole-space functionals: a cutoff is refused, not dropped
+    f = abs_x1_field()
+    x0 = ql.ParabolicPoint((0.0,), 0.5)
+    with pytest.raises(UsageError, match="eta=None"):
+        ql.frequency(f, x0, 0.1, ql.WeightSpec())
+    with pytest.raises(UsageError, match="eta=None"):
+        ql.almgren_scan(f, x0, ql.WeightSpec(), np.geomspace(0.1, 1.0, 4))
+
+
+def test_sup_norm_is_max_abs_value(p3_1d):
+    grid = ql.GridSpec(origin=[-1.0], extent=[2.0], cells=[8], time_start=0.0, time_end=1.0)
+    for sign in (1.0, -1.0):
+        values = sign * np.linspace(-0.5, 2.0, 18).reshape(2, 9)
+        f = ql.SpaceTimeField(p3_1d, grid, [0.0, 1.0], values)
+        assert f.sup_norm == 2.0 and f.sup_norm == float(np.abs(f.values).max())
 
 
 def test_almgren_scan_oracles():
