@@ -115,14 +115,16 @@ def self_similarity_residual(field: SpaceTimeField, base_point: ParabolicPoint,
     if times.size == 0 or pts.shape[0] == 0:
         raise DomainError("window contains no stored samples")
 
-    worst = 0.0
-    for lam in lambdas:
-        mapped = x0 + lam * (pts - x0)
+    maps = [(lam, x0 + lam * (pts - x0)) for lam in lambdas]
+    for lam, mapped in maps:
         field.require_inside(mapped, base_point.t + lam ** 2 * (times - base_point.t),
                              f"rescaled window at lambda={float(lam)}")
-        for t in times:
+    # the unmapped side does not depend on lambda: sample it once per time
+    worst = 0.0
+    for t in times:
+        u = sample_many(field, pts, np.full(pts.shape[0], t))
+        for lam, mapped in maps:
             ts_m = base_point.t + lam ** 2 * (t - base_point.t)
-            u = sample_many(field, pts, np.full(pts.shape[0], t))
             v = sample_many(field, mapped, np.full(pts.shape[0], ts_m))
             worst = max(worst, float(np.max(np.abs(u - lam ** (-alpha) * v))))
     return worst

@@ -6,6 +6,10 @@ exactly at rupture points and diverges like a negative power at positivity
 points.  H, D and N = D/H, taken against the bare kernel, form the parabolic
 frequency, nondecreasing in s for (two-valued) caloric fields, with
 d/ds log H = 2N/s.
+
+The Gaussian weights read one prepared box per base point: |y - x0|^2 and the
+cutoff are evaluated once over the box the largest s reads, and every s slices
+them, as `quadrature.integrate` slices its union block.
 """
 
 import warnings
@@ -19,7 +23,7 @@ from .bumps import bump_profile
 from .errors import AccuracyWarning, DomainError, UsageError, ValidationError
 from .field import SpaceTimeField
 from .geometry import ParabolicPoint
-from .quadrature import singular_floor, slab_cells
+from .quadrature import _cell_window, singular_floor, slab_cells
 
 
 @dataclass(frozen=True)
@@ -103,39 +107,89 @@ class EnergyEval:
     flagged: bool
 
 
+def _kernel_box(c: np.ndarray, w: WeightSpec, s: float) -> Tuple[tuple, tuple]:
+    """The box x0 +- k sqrt(s) the weights at s read, cut to B_outer(x0) by a cutoff."""
+    reach = w.truncation_multiple * np.sqrt(s)
+    if w.eta is not None:
+        reach = min(reach, w.eta[1])
+    return tuple(c - reach), tuple(c + reach)
+
+
+@dataclass(frozen=True)
+class _PreparedWeights:
+    """|y - x0|^2 and the cutoff over the cells of the box read at s_top.
+
+    The box of every s <= s_top lies inside it (floor, ceil and the grid clip
+    are monotone), so the weights at s slice these arrays; no cell (nodes None)
+    at s_top means none at any s.
+    """
+
+    field: SpaceTimeField
+    x0: ParabolicPoint
+    w: WeightSpec
+    s_top: float
+    nodes: Optional[Tuple[slice, ...]]
+    y2: Optional[np.ndarray]
+    eta: Optional[np.ndarray]
+
+
+def _prepare_weights(field: SpaceTimeField, x0: ParabolicPoint, w: WeightSpec,
+                     s_top: float) -> _PreparedWeights:
+    """The s-independent factors of the weights at x0, for every s up to s_top."""
+    if s_top <= 0:
+        raise UsageError("s must be positive")
+    c = np.asarray(x0.x)
+    win = _cell_window(field.grid, _kernel_box(c, w, s_top))
+    y2 = eta = None
+    if win is not None:
+        y2 = np.sum((np.stack(np.meshgrid(*win[1], indexing="ij"), axis=-1) - c) ** 2, axis=-1)
+        if w.eta is not None:
+            inner, outer = w.eta
+            eta = bump_profile((np.sqrt(y2) - inner) / (outer - inner))
+    return _PreparedWeights(field, x0, w, float(s_top), win and win[0], y2, eta)
+
+
 def _gaussian_weights(field: SpaceTimeField, x0: ParabolicPoint, s: float,
-                      w: WeightSpec):
+                      w: WeightSpec, prepared: Optional[_PreparedWeights] = None):
     """The cells of the slab t0 - s on the truncated ball, and their G*eta weights.
 
-    The kernel, its ball and the cutoff all read one |y - x0|^2 per cell.
+    The kernel, its ball and the cutoff all read one |y - x0|^2 per cell, sliced
+    from prepared (by default prepared for s alone).
     """
-    n = field.n
-    t_eval = x0.t - s
     if s <= 0:
         raise UsageError("s must be positive")
+    if prepared is None:
+        prepared = _prepare_weights(field, x0, w, s)
+    elif prepared.field is not field or prepared.x0 != x0 or prepared.w != w:
+        raise UsageError("weights prepared for another field, base point or WeightSpec")
+    elif s > prepared.s_top:
+        raise UsageError(f"s={float(s)!r} above the prepared s_top={prepared.s_top!r}")
     radius = w.truncation_multiple * np.sqrt(s)
     c = np.asarray(x0.x)
-    reach, support = radius, None
-    if w.eta is not None:
-        inner, outer = w.eta
-        reach, support = min(radius, outer), (c - outer, c + outer)
+    t_eval = x0.t - s
+    support = None if w.eta is None else (c - w.eta[1], c + w.eta[1])
     # the bare kernel's ball is cut to the grid: its kept mass is not checked
     field.require_inside(support, t_eval, f"slab t0 - s at s={float(s)}")
-    cells = slab_cells(field, t_eval, box=(tuple(c - reach), tuple(c + reach)))
+    box = _kernel_box(c, w, s)
+    cells = slab_cells(field, t_eval, box=box)
     if cells.u.size == 0:
         raise DomainError("weighted integral window misses the spatial domain")
-    y2 = np.sum((cells.points() - c) ** 2, axis=-1)
-    G = (4.0 * np.pi * s) ** (-n / 2.0) * np.exp(-y2 / (4.0 * s))
+    nodes, _ = _cell_window(field.grid, box)
+    sl = tuple(slice(a.start - o.start, a.stop - 1 - o.start)
+               for a, o in zip(nodes, prepared.nodes))
+    y2 = prepared.y2[sl]
+    G = (4.0 * np.pi * s) ** (-field.n / 2.0) * np.exp(-y2 / (4.0 * s))
     G = np.where(y2 <= radius ** 2, G, 0.0)
-    if w.eta is not None:
-        G = G * bump_profile((np.sqrt(y2) - inner) / (outer - inner))
+    if prepared.eta is not None:
+        G = G * prepared.eta[sl]
     return cells, G * cells.volume
 
 
 def weighted_energy_detail(field: SpaceTimeField, x0: ParabolicPoint, s: float,
-                           w: WeightSpec, u_floor: Optional[float] = None) -> EnergyEval:
+                           w: WeightSpec, u_floor: Optional[float] = None,
+                           prepared: Optional[_PreparedWeights] = None) -> EnergyEval:
     p = field.params.p
-    cells, wgt = _gaussian_weights(field, x0, s, w)
+    cells, wgt = _gaussian_weights(field, x0, s, w, prepared)
     ok = cells.u >= singular_floor(field, u_floor)
     term1 = s ** ((p - 1.0) / (p + 1.0)) * float((wgt * cells.energy_density(ok, p)).sum())
     term2 = -s ** (-2.0 / (p + 1.0)) / (2.0 * (p + 1.0)) * float((wgt * cells.u ** 2).sum())
@@ -164,8 +218,10 @@ def averaged_energy(field: SpaceTimeField, x0: ParabolicPoint, s: float,
                     w: WeightSpec, samples: int = 9,
                     u_floor: Optional[float] = None) -> float:
     """Octave average (1/s) int_s^{2s} E; continuous where E is merely integrable."""
+    prepared = _prepare_weights(field, x0, w, 2.0 * s)
     return _average_over_octave(
-        lambda tau: weighted_energy_detail(field, x0, tau, w, u_floor).value, s, samples)
+        lambda tau: weighted_energy_detail(field, x0, tau, w, u_floor, prepared).value,
+        s, samples)
 
 
 def _average_over_octave(fn, s: float, samples: int) -> float:
@@ -206,13 +262,15 @@ def density_estimate(field: SpaceTimeField, x0: ParabolicPoint, w: WeightSpec,
         raise UsageError("ladder needs at least three octave points (s_max >= 4 s_min)")
     ladder = np.array(sorted(s_max / 2.0 ** k for k in range(n_oct + 1)))
 
-    # ladder, octave averages and fine scan share s values; evaluate each once
+    # ladder, octave averages and fine scan share s values, all at most 2 s_max,
+    # and one prepared box; evaluate each s once
+    prepared = _prepare_weights(field, x0, w, 2.0 * s_max)
     memo = {}
 
     def energy(s):
         key = float(s)
         if key not in memo:
-            memo[key] = weighted_energy_detail(field, x0, s, w, u_floor)
+            memo[key] = weighted_energy_detail(field, x0, s, w, u_floor, prepared)
         return memo[key]
 
     singular = False
@@ -269,7 +327,8 @@ def density_estimate(field: SpaceTimeField, x0: ParabolicPoint, w: WeightSpec,
 # -- frequency ----------------------------------------------------------------
 
 def frequency(field: SpaceTimeField, x0: ParabolicPoint, s: float, w: WeightSpec,
-              h_tol: float = 1e-12) -> Tuple[float, float, Optional[float]]:
+              h_tol: float = 1e-12, prepared: Optional[_PreparedWeights] = None
+              ) -> Tuple[float, float, Optional[float]]:
     """Height H = int u^2 G, energy D = s int |grad u|^2 G, frequency N = D/H.
 
     Integrals run over the truncated kernel ball at the slab t0 - s.  These
@@ -277,7 +336,7 @@ def frequency(field: SpaceTimeField, x0: ParabolicPoint, s: float, w: WeightSpec
     """
     if w.eta is not None:
         raise UsageError("frequency integrates the bare kernel: pass a WeightSpec with eta=None")
-    cells, wgt = _gaussian_weights(field, x0, s, w)
+    cells, wgt = _gaussian_weights(field, x0, s, w, prepared)
     H = float((wgt * cells.u ** 2).sum())
     D = s * float((wgt * cells.grad2()).sum())
     sup = field.sup_norm
@@ -298,9 +357,10 @@ def almgren_scan(field: SpaceTimeField, x0: ParabolicPoint, w: WeightSpec,
     s_grid = np.asarray(list(s_grid), dtype=float)
     if np.any(np.diff(s_grid) <= 0) or np.any(s_grid <= 0):
         raise UsageError("s_grid must be positive and increasing")
+    prepared = _prepare_weights(field, x0, w, s_grid[-1]) if s_grid.size else None
     H, D, N = [], [], []
     for s in s_grid:
-        hv, dv, nv = frequency(field, x0, s, w)
+        hv, dv, nv = frequency(field, x0, s, w, prepared=prepared)
         H.append(hv)
         D.append(dv)
         N.append(np.nan if nv is None else nv)

@@ -147,3 +147,50 @@ def test_holder_limit_of_collapse(p3_1d):
     sup = quot.max()
     assert sup <= np.sqrt(2.0) + 1e-12
     assert sup == pytest.approx(np.sqrt(2.0), abs=1e-3)
+
+
+def _self_similarity_reference(field, base, lambdas, window):
+    """self_similarity_residual as the max over (lambda, time) of one pair of samples."""
+    lo, hi = window.time_window()
+    c, x0 = np.asarray(window.center.x), np.asarray(base.x)
+    pts = field.grid.node_points()
+    pts = pts[np.all(np.abs(pts - c) <= window.radius, axis=-1)]
+    pts = pts[np.linalg.norm(pts - c, axis=-1) <= window.radius]
+    times = field.times[(field.times > lo) & (field.times <= hi)]
+    worst = 0.0
+    for lam in lambdas:
+        for t in times:
+            u = ql.sample_many(field, pts, np.full(pts.shape[0], t))
+            v = ql.sample_many(field, x0 + lam * (pts - x0),
+                               np.full(pts.shape[0], base.t + lam ** 2 * (t - base.t)))
+            worst = max(worst, float(np.max(np.abs(u - lam ** (-field.params.alpha) * v))))
+    return worst, times.size
+
+
+def test_self_similarity_samples_each_stored_time_once(p3_2d, ode_field_dyadic, monkeypatch):
+    # the unmapped side is sampled once per stored time for every lambda: 3T
+    # sample_many calls for two lambdas and T times, and the same residual
+    grid = ql.GridSpec(origin=[-1.0, -1.0], extent=[2.0, 2.0], cells=[64, 64],
+                       time_start=-1.0, time_end=-0.0625)
+    radial = ql.radial_field(p3_2d, grid, np.linspace(-1.0, -0.0625, 61))
+    cases = [
+        (radial, ql.ParabolicPoint((0.0, 0.0), 0.0), [0.5, 0.75],
+         ql.ParabolicCylinder(ql.ParabolicPoint((0.0, 0.0), -0.25), 0.2)),
+        (ode_field_dyadic, ql.ParabolicPoint((0.0,), 0.0), [0.5, 2.0],
+         ql.ParabolicCylinder(ql.ParabolicPoint((0.0,), -0.05), 0.3)),
+    ]
+    sampled = ql.exact.sample_many
+    for field, base, lambdas, window in cases:
+        want, T = _self_similarity_reference(field, base, lambdas, window)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return sampled(*args)
+
+        monkeypatch.setattr(ql.exact, "sample_many", counted)
+        got = ql.self_similarity_residual(field, base, lambdas, window)
+        monkeypatch.undo()
+        assert T >= 2 and want > 0.0
+        assert got == want
+        assert len(calls) == 3 * T

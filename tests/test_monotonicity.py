@@ -280,3 +280,102 @@ def test_trace_invariants_enforced():
         ql.FrequencyTrace(base_point=QUENCH, s_samples=np.array([0.1, 0.2]),
                           H_values=np.array([-1.0, 1.0]), D_values=np.ones(2),
                           N_values=np.ones(2))
+
+
+def _random_scan_case(rng):
+    """A random 1D-3D field, dense in time near t0 = 1, a base point and a weight.
+
+    Returns field, x0, w (a cutoff or none) and s_min, s_max for which the
+    truncation radius k sqrt(s) sweeps from below the cutoff's outer radius
+    to past it, and for the bare kernel past the grid edge.
+    """
+    n = int(rng.integers(1, 4))
+    mp = ql.ModelParams(p=3.0, n=n)
+    grid = ql.GridSpec(origin=[-1.0] * n, extent=[2.0] * n,
+                       cells=[int(rng.integers(6, 30 // n))] * n,
+                       time_start=0.0, time_end=1.0)
+    times = np.unique(np.concatenate([np.linspace(0.0, 0.9, 10), np.linspace(0.9, 1.0, 101)]))
+    values = rng.uniform(0.1, 2.0, size=(len(times),) + grid.node_shape)
+    field = ql.SpaceTimeField(mp, grid, times, values)
+    x0 = ql.ParabolicPoint(tuple(rng.uniform(-0.4, 0.4, size=n)), 1.0)
+    outer = float(rng.uniform(0.3, 0.6))
+    eta = None if rng.random() < 0.4 else (float(rng.uniform(0.0, 0.9)) * outer, outer)
+    w = ql.WeightSpec(truncation_multiple=float(rng.uniform(4.0, 8.0)), eta=eta)
+    return field, x0, w, float(rng.uniform(4e-3, 6e-3)), float(rng.uniform(0.1, 0.5))
+
+
+def test_prepared_scans_equal_one_shot_calls_bit_for_bit():
+    # density_estimate and almgren_scan slice one prepared box per base point;
+    # every E, Ebar, H, D and N equals the call that prepares for its s alone
+    rng = np.random.default_rng(29)
+    crossed_outer = crossed_edge = bare = 0
+    for _ in range(12):
+        field, x0, w, s_min, s_max = _random_scan_case(rng)
+        c = np.asarray(x0.x)
+        reach = w.truncation_multiple * np.sqrt([s_min, 2.0 * s_max])
+        if w.eta is None:
+            bare += 1
+        else:
+            crossed_outer += int(reach[0] < w.eta[1] < reach[1])
+        crossed_edge += int(np.any(c + reach[1] > 1.0) and w.eta is None)
+
+        _, trace = ql.density_estimate(field, x0, w, s_min, s_max)
+
+        def one_shot(s):
+            return mono.weighted_energy_detail(field, x0, s, w).value
+
+        e_ref = np.array([one_shot(s) for s in trace.s_samples])
+        ebar_ref = np.array([_average_over_octave(one_shot, s, 9) for s in trace.s_samples])
+        assert np.array_equal(trace.E_values, e_ref)
+        assert np.array_equal(trace.Ebar_values, ebar_ref)
+
+        bare_w = ql.WeightSpec(truncation_multiple=w.truncation_multiple, eta=None)
+        s_grid = np.geomspace(s_min, 2.0 * s_max, 12)
+        ftrace = ql.almgren_scan(field, x0, bare_w, s_grid, caloric=False)
+        ref = np.array([[np.nan if v is None else v for v in ql.frequency(field, x0, s, bare_w)]
+                        for s in s_grid])
+        assert np.array_equal(ftrace.H_values, ref[:, 0])
+        assert np.array_equal(ftrace.D_values, ref[:, 1])
+        assert np.array_equal(ftrace.N_values, ref[:, 2], equal_nan=True)
+    assert crossed_outer >= 2 and crossed_edge >= 2 and bare >= 2
+
+
+def test_prepared_weights_refuse_s_above_their_top_and_other_inputs():
+    rng = np.random.default_rng(7)
+    field, x0, w, s_min, s_max = _random_scan_case(rng)
+    prepared = mono._prepare_weights(field, x0, w, s_max)
+    cells, wgt = _gaussian_weights(field, x0, s_max, w, prepared)
+    assert np.array_equal(wgt, _gaussian_weights(field, x0, s_max, w)[1])
+    with pytest.raises(UsageError, match="above the prepared"):
+        _gaussian_weights(field, x0, np.nextafter(s_max, np.inf), w, prepared)
+    with pytest.raises(UsageError, match="above the prepared"):
+        mono.weighted_energy_detail(field, x0, 2.0 * s_max, w, None, prepared)
+    other = ql.ParabolicPoint(tuple(np.asarray(x0.x) + 0.01), x0.t)
+    with pytest.raises(UsageError, match="prepared for another"):
+        _gaussian_weights(field, other, s_min, w, prepared)
+    with pytest.raises(UsageError, match="s must be positive"):
+        _gaussian_weights(field, x0, 0.0, w, prepared)
+    with pytest.raises(UsageError, match="s must be positive"):
+        ql.averaged_energy(field, x0, -1e-3, w)
+
+
+def test_density_estimate_evaluates_and_slices_each_s_once(ode_field_dense, monkeypatch):
+    w = ql.WeightSpec(truncation_multiple=6.0)
+    calls, slabs = [], []
+    detail, slab = mono.weighted_energy_detail, mono.slab_cells
+
+    def counted(field, x0, s, *args):
+        calls.append(float(s))
+        return detail(field, x0, s, *args)
+
+    def counted_slab(field, t, *args, **kwargs):
+        slabs.append(t)
+        return slab(field, t, *args, **kwargs)
+
+    monkeypatch.setattr(mono, "weighted_energy_detail", counted)
+    monkeypatch.setattr(mono, "slab_cells", counted_slab)
+    _, trace = ql.density_estimate(ode_field_dense, QUENCH, w, 1e-3, 0.2)
+    monkeypatch.undo()
+    assert len(calls) > len(trace.s_samples) > 0
+    assert len(calls) == len(set(calls)) == len(slabs)
+    assert set(trace.s_samples.tolist()) <= set(calls)
