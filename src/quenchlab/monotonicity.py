@@ -9,7 +9,7 @@ d/ds log H = 2N/s.
 
 The Gaussian weights read one prepared box per base point: |y - x0|^2 and the
 cutoff are evaluated once over the box the largest s reads, and every s slices
-them, as `quadrature.integrate` slices its union block.
+them by `quadrature._sub_cells`, as `quadrature.integrate` slices its union block.
 """
 
 import warnings
@@ -20,10 +20,10 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .bumps import bump_profile
-from .errors import AccuracyWarning, DomainError, UsageError, ValidationError
+from .errors import AccuracyWarning, UsageError, ValidationError
 from .field import SpaceTimeField
 from .geometry import ParabolicPoint
-from .quadrature import _cell_window, singular_floor, slab_cells
+from .quadrature import _cell_window, _sub_cells, singular_floor, slab_cells
 
 
 @dataclass(frozen=True)
@@ -172,11 +172,7 @@ def _gaussian_weights(field: SpaceTimeField, x0: ParabolicPoint, s: float,
     field.require_inside(support, t_eval, f"slab t0 - s at s={float(s)}")
     box = _kernel_box(c, w, s)
     cells = slab_cells(field, t_eval, box=box)
-    if cells.u.size == 0:
-        raise DomainError("weighted integral window misses the spatial domain")
-    nodes, _ = _cell_window(field.grid, box)
-    sl = tuple(slice(a.start - o.start, a.stop - 1 - o.start)
-               for a, o in zip(nodes, prepared.nodes))
+    sl = _sub_cells(_cell_window(field.grid, box)[0], prepared.nodes)
     y2 = prepared.y2[sl]
     G = (4.0 * np.pi * s) ** (-field.n / 2.0) * np.exp(-y2 / (4.0 * s))
     G = np.where(y2 <= radius ** 2, G, 0.0)

@@ -248,6 +248,16 @@ def _run_apriori(field, ctx, *, radii: List[float], point: Floats = None,
                                                       fit.counts.tolist())))}
 
 
+# the pass test of each two-valued condition, from its report and rel_tol
+_TWO_VALUED_PASS = {
+    "i": lambda rep, tol: np.isfinite(rep.value),
+    "ii": lambda rep, tol: rep.value >= -tol * max(rep.scale, 1e-300),
+    "iii": lambda rep, tol: rep.relative <= tol,
+    "iv": lambda rep, tol: rep.relative <= tol,
+    "v": lambda rep, tol: rep.value <= tol * max(rep.scale, 1e-300),
+}
+
+
 def _run_two_valued(field, ctx, *, center: Floats = None, r_out: Optional[float] = None,
                     t_inner: Optional[float] = None, t_outer: Optional[float] = None,
                     rel_tol: float = 1e-3):
@@ -261,12 +271,9 @@ def _run_two_valued(field, ctx, *, center: Floats = None, r_out: Optional[float]
     reports = two_valued_caloric_check(field, [bump], ys)
     result = {"tolerances": {"rel_tol": rel_tol}}
     for key, rep in reports.items():
-        ok = np.isfinite(rep.value) if key == "i" else (
-            rep.value >= -rel_tol * max(rep.scale, 1e-300) if key in ("ii",)
-            else (rep.value <= rel_tol * max(rep.scale, 1e-300) if key == "v"
-                  else rep.relative <= rel_tol))
         result[f"cond_{key}"] = {"value": rep.value, "scale": rep.scale,
-                                 "relative": rep.relative, "pass": bool(ok)}
+                                 "relative": rep.relative,
+                                 "pass": bool(_TWO_VALUED_PASS[key](rep, rel_tol))}
     return result, {}
 
 

@@ -15,12 +15,16 @@ at a time, builds each interval's block once over the union of the boxes and
 hands every integrand its slice (`Cells.sub`).  An integrand's `prepare`
 step runs once per window on its cell centres, so spatial factors (a test
 function's eta, grad eta, Lap eta) are not re-evaluated per block.
+`integrate` is also the one place a test function's time factor is sampled
+per block: w(t) and w'(t) of each distinct `TimeWindow` are evaluated once
+per block, at its midpoint, and handed to every integrand naming that window.
 
 This module decides which cells cover a box, for slabs and blocks alike
-(`_cell_window`; stored slabs are cut to it before they are combined), and
-which cells are singular: u below the floor, by default h^alpha
-(`singular_floor`), where a u-power term is 0 (`floored_power`, which the
-energy density's u^(1-p) goes through too).
+(`_cell_window`; stored slabs are cut to it before they are combined, and a
+slab over no cell is refused), which cells of an enclosing window a sub-box
+takes (`_sub_cells`), and which cells are singular: u below the floor, by
+default h^alpha (`singular_floor`), where a u-power term is 0
+(`floored_power`, which the energy density's u^(1-p) goes through too).
 """
 
 from dataclasses import dataclass
@@ -28,6 +32,8 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .bumps import TimeWindow
+from .errors import DomainError
 from .field import SpaceTimeField
 from .grid import GridSpec
 
@@ -73,6 +79,11 @@ def _cell_window(grid: GridSpec, box: Optional[Tuple]):
         return None
     return (tuple(slice(a, b + 1) for a, b in ranges),
             tuple(grid.axis_cell_centers(k)[a:b] for k, (a, b) in enumerate(ranges)))
+
+
+def _sub_cells(nodes: Tuple[slice, ...], outer: Tuple[slice, ...]) -> Tuple[slice, ...]:
+    """The cells of node slicer nodes as a slice of the cells of enclosing node slicer outer."""
+    return tuple(slice(a.start - o.start, a.stop - 1 - o.start) for a, o in zip(nodes, outer))
 
 
 def singular_floor(field: SpaceTimeField, u_floor: Optional[float] = None) -> float:
@@ -132,12 +143,11 @@ def _cells(grid: GridSpec, t: float, centers: Tuple[np.ndarray, ...], window: np
 
 
 def slab_cells(field: SpaceTimeField, t: float, box=None) -> Cells:
-    """Cell-center values and gradients of the slab at time t."""
+    """Cell-center values and gradients of the slab at time t; refused if box covers no cell."""
     g = field.grid
     win = _cell_window(g, box)
     if win is None:
-        # an empty window (one node, no cell); caller treats the integral as zero
-        return _cells(g, t, tuple(np.empty(0) for _ in range(g.n)), np.zeros((1,) * g.n))
+        raise DomainError(f"box {np.asarray(box, dtype=float).tolist()} covers no grid cell")
     slicer, centers = win
     return _cells(g, t, centers, field.slab(t, slicer))
 
@@ -192,18 +202,20 @@ class Integral:
 class Integrand:
     """One integrand of `integrate`: its spatial box and how to evaluate it.
 
-    terms(blk, prep, ok) returns (terms, support): a list of signed arrays over
-    the cells of blk and a boolean support mask (None: every cell).  blk holds
-    the integrand's slice of the interval's block; ok is blk.u >= floor, or
-    None without a floor.  prepare(pts) runs once per window on the cell
-    centers (shape blk.u.shape + (n,)) and returns prep; without it prep is
-    pts.  box None covers the whole grid.
+    terms(blk, prep, ok, wt) returns (terms, support): a list of signed arrays
+    over the cells of blk and a boolean support mask (None: every cell).  blk
+    holds the integrand's slice of the interval's block; ok is blk.u >= floor,
+    or None without a floor; wt is (w, w') of the test function's time factor
+    at blk.t_mid, or None without one.  prepare(pts) runs once per window on
+    the cell centers (shape blk.u.shape + (n,)) and returns prep; without it
+    prep is pts.  box None covers the whole grid.
     """
 
-    terms: Callable[[Cells, Any, Optional[np.ndarray]],
+    terms: Callable[[Cells, Any, Optional[np.ndarray], Optional[Tuple[float, float]]],
                     Tuple[List[np.ndarray], Optional[np.ndarray]]]
     box: Optional[Tuple] = None
     prepare: Optional[Callable[[np.ndarray], Any]] = None
+    time: Optional[TimeWindow] = None
 
 
 def _union_box(boxes: List[Optional[Tuple]]) -> Optional[Tuple]:
@@ -221,9 +233,10 @@ def integrate(field: SpaceTimeField, integrands: Sequence[Integrand], t_lo=None,
     Each stored interval's block is built once, over the union of the boxes,
     and every integrand gets its slice of it; values are those of the block
     built over its own box, so each result equals a one-integrand call bit for
-    bit.  Every cell carries the weight w = dt * h^n, and per integrand the
-    sums run in block order.  The excluded measure counts support cells below
-    the floor.  Returns one Integral per integrand, in order.
+    bit, and each distinct time window (by value) is sampled once per block.
+    Every cell carries the weight w = dt * h^n, and per integrand the sums run
+    in block order.  The excluded measure counts support cells below the
+    floor.  Returns one Integral per integrand, in order.
     """
     g = field.grid
     out = [Integral(0.0, 0.0, 0, 0.0, 0.0) for _ in integrands]
@@ -234,18 +247,19 @@ def integrate(field: SpaceTimeField, integrands: Sequence[Integrand], t_lo=None,
     union = _union_box([integrands[i].box for i in live])
     outer, _ = _cell_window(g, union)
     # each integrand's cells within the union block's cells
-    slices = {i: tuple(slice(a.start - o.start, a.stop - 1 - o.start) for a, o in zip(nodes, outer))
-              for i, (nodes, _) in live.items()}
+    slices = {i: _sub_cells(nodes, outer) for i, (nodes, _) in live.items()}
+    windows = {integrands[i].time for i in live} - {None}
     preps = {}
     for blk in spacetime_blocks(field, t_lo, t_hi, box=union):
         w = blk.dt * blk.volume
+        wts = {tw: (tw.value(blk.t_mid), tw.d1(blk.t_mid)) for tw in windows}
         for i, (_, centers) in live.items():
+            it = integrands[i]
             sub = blk.sub(slices[i], centers)
             if i not in preps:   # every block of one window shares its cell centers
-                prepare = integrands[i].prepare
-                preps[i] = sub.points() if prepare is None else prepare(sub.points())
+                preps[i] = sub.points() if it.prepare is None else it.prepare(sub.points())
             ok = None if floor is None else sub.u >= floor
-            terms, support = integrands[i].terms(sub, preps[i], ok)
+            terms, support = it.terms(sub, preps[i], ok, wts.get(it.time))
             res = out[i]
             res.value += w * float(sum(terms).sum())
             res.scale += w * float(sum(np.abs(t) for t in terms).sum())

@@ -7,15 +7,15 @@ scale for relative assessment.  Each identity is one `quadrature.Integrand`,
 whose terms take |grad u|^2, grad u . v and the energy density from
 `quadrature.Cells`: its prepare step evaluates the test function's spatial
 factor (eta, grad eta, Lap eta) once per time window, and its per-block terms
-multiply that by the time factor w(t), evaluated once per block for each
-distinct window.  The single-identity functions are one-integrand calls of
-`quadrature.integrate`; the two-valued check integrates conditions (ii)-(v)
-in one call per distinct time window, so each stored interval's block is
-built once for all of their test functions.  (ii), (iv) and (v) reuse the
-single-identity integrands without their u-power terms:
--distributional_residual, 2 x stationary_residual and 2 x
-energy_inequality_defect.  Every test function's support (and the energy
-inequality's [t1, t2]) must lie in the stored data
+multiply that by the time factor w(t), which `quadrature.integrate` samples
+once per block for each distinct window the integrands name.  The
+single-identity functions are one-integrand calls of `quadrature.integrate`;
+the two-valued check integrates conditions (ii)-(v) in one call per distinct
+time window, so each stored interval's block is built once for all of their
+test functions.  (ii), (iv) and (v) reuse the single-identity integrands
+without their u-power terms: -distributional_residual, 2 x
+stationary_residual and 2 x energy_inequality_defect.  Every test function's
+support (and the energy inequality's [t1, t2]) must lie in the stored data
 (`SpaceTimeField.require_inside`): a clipped support drops boundary terms.
 Nothing here proves a field *is* a weak solution; the reports only falsify
 up to tolerance.
@@ -55,24 +55,6 @@ def _report(res: Integral) -> ResidualReport:
     return ResidualReport(res.value, res.scale, res.cells, res.excluded_fraction)
 
 
-class _TimeFactors:
-    """w(t) and w'(t) of each distinct time window, evaluated once per block time.
-
-    The integrands of one pass share an instance; windows are compared by
-    value, and only the latest block time is kept.
-    """
-
-    def __init__(self):
-        self.t, self.at = None, {}
-
-    def __call__(self, window: TimeWindow, t: float):
-        if t != self.t:
-            self.t, self.at = t, {}
-        if window not in self.at:
-            self.at[window] = (window.value(t), window.d1(t))
-        return self.at[window]
-
-
 def _eta_and_grad(bump: SpaceTimeBump):
     """prepare step: the cell centers, eta and grad eta of the bump there."""
     return lambda pts: (pts, bump.space.value(pts), bump.space.grad(pts))
@@ -91,8 +73,7 @@ def distributional_residual(field: SpaceTimeField, psi: SpaceTimeBump,
     if float(field.values.min()) < 0:
         raise UsageError("distributional residual requires u >= 0")
     floor = singular_floor(field, u_floor) if potential else None
-    res, = integrate(field, [_distributional(field, psi, _TimeFactors())],
-                     *psi.time_support(), floor=floor)
+    res, = integrate(field, [_distributional(field, psi)], *psi.time_support(), floor=floor)
     rep = _report(res)
     if rep.excluded_fraction > _EXCLUDED_FRACTION_LIMIT:
         raise SingularIntegrandError(
@@ -101,14 +82,13 @@ def distributional_residual(field: SpaceTimeField, psi: SpaceTimeBump,
     return rep
 
 
-def _distributional(field: SpaceTimeField, psi: SpaceTimeBump,
-                    times: _TimeFactors) -> Integrand:
+def _distributional(field: SpaceTimeField, psi: SpaceTimeBump) -> Integrand:
     """distributional_residual's integrand; no u^-p term without a floor."""
     n, p = field.n, field.params.p
 
-    def terms(blk, space, ok):
+    def terms(blk, space, ok, wt):
         eta, lap = space
-        w, w1 = times(psi.time, blk.t_mid)
+        w, w1 = wt
         out = [blk.u * (-(eta * w1) - lap * w)]
         if ok is None:
             return out, None
@@ -117,7 +97,7 @@ def _distributional(field: SpaceTimeField, psi: SpaceTimeBump,
         return out, psiv != 0.0
 
     return Integrand(terms, psi.support_box(),
-                     lambda pts: (psi.space.value(pts), psi.space.laplacian(pts, n)))
+                     lambda pts: (psi.space.value(pts), psi.space.laplacian(pts, n)), psi.time)
 
 
 def _dy_quadratic(jac: np.ndarray, grad: List[np.ndarray]) -> np.ndarray:
@@ -145,26 +125,25 @@ def stationary_residual(field: SpaceTimeField, Y: TestVectorField,
     """
     field.require_inside(Y.support_box(), Y.time_support(), "test function support")
     floor = singular_floor(field, u_floor) if potential else None
-    res, = integrate(field, [_stationary(field, Y, _TimeFactors())], *Y.time_support(),
-                     floor=floor)
+    res, = integrate(field, [_stationary(field, Y)], *Y.time_support(), floor=floor)
     if res.excluded_fraction > _EXCLUDED_FRACTION_LIMIT:
         raise SingularIntegrandError("u vanishes on too much of the vector field support")
     return _report(res)
 
 
-def _stationary(field: SpaceTimeField, Y: TestVectorField, times: _TimeFactors) -> Integrand:
+def _stationary(field: SpaceTimeField, Y: TestVectorField) -> Integrand:
     """stationary_residual's integrand; no u-power term without a floor."""
     p = field.params.p
 
-    def terms(blk, space, ok):
+    def terms(blk, space, ok, wt):
         pts, eta, grad_eta = space
-        w, _ = times(Y.bump.time, blk.t_mid)
+        w, _ = wt
         yv, div, jac = Y.at(pts, eta, grad_eta, w)
         return [blk.energy_density(ok, p) * div,
                 -_dy_quadratic(jac, blk.grad),
                 -(blk.dtu * blk.grad_dot(yv))], None
 
-    return Integrand(terms, Y.support_box(), _eta_and_grad(Y.bump))
+    return Integrand(terms, Y.support_box(), _eta_and_grad(Y.bump), Y.bump.time)
 
 
 def energy_inequality_defect(field: SpaceTimeField, eta: SpaceTimeBump,
@@ -186,24 +165,24 @@ def energy_inequality_defect(field: SpaceTimeField, eta: SpaceTimeBump,
         raise DomainError("need t1 < t2")
     field.require_inside(eta.support_box(), (t1, t2), "eta's box over [t1, t2]")
     floor = singular_floor(field, u_floor) if potential else None
-    res, = integrate(field, [_energy(field, eta, _TimeFactors())], t1, t2, floor=floor)
+    res, = integrate(field, [_energy(field, eta)], t1, t2, floor=floor)
     return _energy_report(field, eta, t1, t2, floor, res)
 
 
-def _energy(field: SpaceTimeField, eta: SpaceTimeBump, times: _TimeFactors) -> Integrand:
+def _energy(field: SpaceTimeField, eta: SpaceTimeBump) -> Integrand:
     """The time integral of energy_inequality_defect; no u-power term without a floor."""
     p = field.params.p
 
-    def terms(blk, space, ok):
+    def terms(blk, space, ok, wt):
         _, eta_x, grad_eta = space
-        w, w1 = times(eta.time, blk.t_mid)
+        w, w1 = wt
         ev = eta_x * w
         # the term order of two-valued condition (v), which is 2 x this bit for bit
         return [-(blk.dtu ** 2) * ev ** 2,
                 2.0 * blk.energy_density(ok, p) * ev * (eta_x * w1),
                 -2.0 * blk.dtu * ev * blk.grad_dot(grad_eta * w)], ev != 0.0
 
-    return Integrand(terms, eta.support_box(), _eta_and_grad(eta))
+    return Integrand(terms, eta.support_box(), _eta_and_grad(eta), eta.time)
 
 
 def _energy_report(field: SpaceTimeField, eta: SpaceTimeBump, t1: float, t2: float,
@@ -302,14 +281,13 @@ def two_valued_caloric_check(field: SpaceTimeField,
     reports: Dict[str, ResidualReport] = {}
 
     # (i) finiteness over the full stored domain
-    full, = integrate(field, [Integrand(lambda blk, pts, ok: ([blk.grad2(), blk.dtu ** 2], None))])
+    full, = integrate(field, [Integrand(lambda blk, *_: ([blk.grad2(), blk.dtu ** 2], None))])
     reports["i"] = ResidualReport(full.value, max(full.measure, 1e-300), full.cells)
 
-    times = _TimeFactors()
-    jobs = ([(psi.time_support(), _distributional(field, psi, times)) for psi in bumps]
-            + [(eta.time_support(), _contact(eta, times)) for eta in etas]
-            + [(Y.time_support(), _stationary(field, Y, times)) for Y in Ys]
-            + [(eta.time_support(), _energy(field, eta, times)) for eta in etas])
+    jobs = ([(psi.time_support(), _distributional(field, psi)) for psi in bumps]
+            + [(eta.time_support(), _contact(eta)) for eta in etas]
+            + [(Y.time_support(), _stationary(field, Y)) for Y in Ys]
+            + [(eta.time_support(), _energy(field, eta)) for eta in etas])
     res = _integrate_by_window(field, jobs)
     nb, ne = len(bumps), len(etas)
     ii, iii, iv, v = res[:nb], res[nb:nb + ne], res[nb + ne:-ne], res[-ne:]
@@ -326,18 +304,18 @@ def two_valued_caloric_check(field: SpaceTimeField,
     return reports
 
 
-def _contact(eta: SpaceTimeBump, times: _TimeFactors) -> Integrand:
+def _contact(eta: SpaceTimeBump) -> Integrand:
     """Condition (iii): u_t u eta^2 + |grad u|^2 eta^2 + 2 eta u (grad u . grad eta)."""
 
-    def terms(blk, space, ok):
+    def terms(blk, space, ok, wt):
         _, eta_x, grad_eta = space
-        w, _ = times(eta.time, blk.t_mid)
+        w, _ = wt
         ev = eta_x * w
         return [blk.dtu * blk.u * ev ** 2,
                 blk.grad2() * ev ** 2,
                 2.0 * ev * blk.u * blk.grad_dot(grad_eta * w)], None
 
-    return Integrand(terms, eta.support_box(), _eta_and_grad(eta))
+    return Integrand(terms, eta.support_box(), _eta_and_grad(eta), eta.time)
 
 
 def _integrate_by_window(field: SpaceTimeField,

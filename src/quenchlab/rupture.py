@@ -311,7 +311,7 @@ def apriori_scaling_check(field: SpaceTimeField, X0: ParabolicPoint, quantity: s
     p = field.params.p
     c = np.asarray(X0.x)
 
-    def terms(blk, inside, ok):
+    def terms(blk, inside, ok, wt):
         if quantity == "mass":
             return [blk.u * inside], inside
         if quantity == "u_inv_p":

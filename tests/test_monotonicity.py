@@ -47,6 +47,13 @@ def test_weighted_energy_beyond_history(ode_field_dense):
         ql.weighted_energy(ode_field_dense, QUENCH, 5.0, ql.WeightSpec())
 
 
+def test_bare_kernel_ball_off_the_grid_is_refused(ode_field_dense):
+    # the bare kernel checks no box of its own: the empty slab refuses it
+    x0 = ql.ParabolicPoint((6.0,), 0.0)
+    with pytest.raises(DomainError):
+        mono.weighted_energy_detail(ode_field_dense, x0, 0.01, BARE)
+
+
 def _random_weight_case(rng):
     """A random 1D-3D field, base point, truncation, cutoff radii (or none) and s."""
     n = int(rng.integers(1, 4))

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from collections import Counter
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import quenchlab as ql
 import quenchlab.quadrature as quadrature
+from quenchlab.errors import DomainError
 from quenchlab.quadrature import (Integrand, cell_gradient, integrate, slab_cells,
                                   spacetime_blocks)
 
@@ -19,7 +22,7 @@ def constant_field(value, times):
 
 def test_integrate_sums_terms_weights_and_support():
     f = constant_field(0.5, [0.0, 0.1, 1.0])
-    res, = integrate(f, [Integrand(lambda blk, pts, ok: ([blk.u, -2.0 * blk.u], None))])
+    res, = integrate(f, [Integrand(lambda blk, pts, ok, wt: ([blk.u, -2.0 * blk.u], None))])
     # value sums signed terms, scale their magnitudes, over |box| x duration = 4
     assert res.value == pytest.approx(-2.0, rel=1e-14)
     assert res.scale == pytest.approx(6.0, rel=1e-14)
@@ -27,7 +30,7 @@ def test_integrate_sums_terms_weights_and_support():
     assert res.measure == pytest.approx(4.0, rel=1e-14)
     assert res.excluded == 0.0 and res.excluded_fraction == 0.0
 
-    def left_half(blk, pts, ok):
+    def left_half(blk, pts, ok, wt):
         return [blk.u], pts[..., 0] < 0.0
 
     below, = integrate(f, [Integrand(left_half, ((-1.0, -1.0), (1.0, 0.0)))], 0.05, 1.0,
@@ -40,12 +43,17 @@ def test_integrate_sums_terms_weights_and_support():
 # integrands that read every part of the slice they are handed: u, grad, dtu,
 # ok, the block time and the prepared cell centers
 KINDS = [
-    Integrand(lambda blk, pts, ok: ([blk.u, -blk.dtu * blk.t_mid], None)),
-    Integrand(lambda blk, pts, ok: (
+    Integrand(lambda blk, pts, ok, wt: ([blk.u, -blk.dtu * blk.t_mid], None)),
+    Integrand(lambda blk, pts, ok, wt: (
         [blk.u * pts[..., 0], sum(gk * gk for gk in blk.grad)],
         pts[..., -1] < 0.1 if ok is None else ok & (pts[..., -1] < 0.1))),
-    Integrand(lambda blk, prep, ok: ([prep * blk.dtu, -prep * blk.u], prep > 0.0),
+    Integrand(lambda blk, prep, ok, wt: ([prep * blk.dtu, -prep * blk.u], prep > 0.0),
               prepare=lambda pts: np.cos(3.0 * pts.sum(axis=-1))),
+    # time factors: two windows with one support, told apart by value
+    Integrand(lambda blk, pts, ok, wt: ([blk.u * wt[0], blk.dtu * wt[1]], None),
+              time=ql.TimeWindow(0.5, 0.1, 0.6)),
+    Integrand(lambda blk, pts, ok, wt: ([blk.u * wt[0] - blk.dtu * wt[1]], None),
+              time=ql.TimeWindow(0.5, 0.3, 0.6)),
 ]
 
 
@@ -71,7 +79,7 @@ def _multi_case(draw):
         lo = [draw(st.floats(o - 0.5, o + h * c + 0.25)) for o, c in zip(origin, cells)]
         return (tuple(lo), tuple(a + draw(st.floats(-0.1, 1.0)) for a in lo))
 
-    integrands = [Integrand(k.terms, box(), k.prepare)
+    integrands = [dataclasses.replace(k, box=box())
                   for k in draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=5))]
     window = sorted(draw(st.lists(st.floats(-0.2, 2.0), min_size=2, max_size=2)))
     floor = draw(st.sampled_from([None, 0.5, 1.0]))
@@ -102,6 +110,13 @@ def test_slab_cells_equal_every_block_at_its_midpoint(case):
             assert all(np.array_equal(a, b) for a, b in zip(cells.centers, blk.centers))
             assert np.array_equal(cells.u, blk.u)
             assert all(np.array_equal(a, b) for a, b in zip(cells.grad, blk.grad))
+
+
+def test_slab_cells_refuses_a_box_off_the_grid():
+    f = constant_field(0.5, [0.0, 1.0])
+    box = ((2.0, -0.5), (3.0, 0.5))
+    with pytest.raises(DomainError, match=re.escape("box [[2.0, -0.5], [3.0, 0.5]] covers no")):
+        slab_cells(f, 0.5, box)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -271,6 +271,60 @@ def test_two_valued_rejects_vector_field_leaving_domain():
         ql.two_valued_caloric_check(f, [eta], [Y])
 
 
+def _moving_field(p3_1d):
+    """u = (2 + x + x^2)(1.5 + sin 2t): positive, lopsided in x and moving in t."""
+    grid = ql.GridSpec(origin=[-1.0], extent=[2.0], cells=[64], time_start=-1.0, time_end=1.0)
+    return ql.field_from_function(
+        p3_1d, grid, np.linspace(-1.0, 1.0, 33),
+        lambda xs, t: (2.0 + xs[:, 0] + xs[:, 0] ** 2) * (1.5 + np.sin(2.0 * t)))
+
+
+def test_two_valued_time_factors_are_told_apart_by_value(p3_1d):
+    # the etas' windows share the support [-0.6, 0.6] and differ in inner; the
+    # (ii) bump and the Ys use another support.  Each pair, in either order,
+    # must report the worst of its etas' one-eta calls bit for bit: a factor
+    # shared by support, by set order or by place in the pass changes one of them
+    f = _moving_field(p3_1d)
+    other = ql.SpaceTimeBump(ql.CutoffSpec((0.0,), 0.25, 0.5),
+                             ql.TimeWindow(center=0.0, inner=0.2, outer=0.5))
+    ys, bumps = vector_tests(f, other), [other]
+    windows = [ql.TimeWindow(center=0.0, inner=inner, outer=0.6) for inner in (0.1, 0.4)]
+    spaces = [ql.CutoffSpec((0.0,), 0.2, 0.4), ql.CutoffSpec((0.3,), 0.2, 0.4)]
+    etas = {(a, b): ql.SpaceTimeBump(spaces[a], windows[b]) for a in (0, 1) for b in (0, 1)}
+    alone = {k: ql.two_valued_caloric_check(f, [eta], ys, bumps) for k, eta in etas.items()}
+    for key in ("iii", "v"):
+        assert len({rep[key].value for rep in alone.values()}) == 4
+    for pair in ([(0, 0), (1, 1)], [(0, 1), (1, 0)]):
+        for order in (pair, pair[::-1]):
+            both = ql.two_valued_caloric_check(f, [etas[k] for k in order], ys, bumps)
+            for key in ("iii", "v"):
+                worst = max((alone[k][key] for k in order), key=lambda r: r.relative)
+                assert (both[key].value, both[key].scale, both[key].quadrature_cells) == \
+                    (worst.value, worst.scale, worst.quadrature_cells)
+
+
+def test_two_valued_samples_a_shared_time_window_once_per_block(p3_1d, monkeypatch):
+    # every test function shares one TimeWindow: w(t) is taken once per block
+    # of its support, plus once on each slab side of (v)
+    f = _moving_field(p3_1d)
+    eta = centered_bump(1)
+    calls = {"value": 0, "d1": 0}
+    for name in calls:
+        original = getattr(ql.TimeWindow, name)
+
+        def counted(self, t, original=original, name=name):
+            calls[name] += 1
+            return original(self, t)
+
+        monkeypatch.setattr(ql.TimeWindow, name, counted)
+    ql.two_valued_caloric_check(f, [eta], vector_tests(f, eta), [eta])
+    lo, hi = eta.time_support()
+    t = f.times
+    blocks = int(np.sum(np.minimum(t[1:], hi) > np.maximum(t[:-1], lo)))
+    assert blocks == 20
+    assert calls == {"value": blocks + 2, "d1": blocks}
+
+
 def test_two_valued_exact_scaling():
     # pure-caloric conditions scale exactly: c^2 for the quadratic ones,
     # c for the one-sided subcaloricity check

@@ -84,20 +84,28 @@ def test_periodic_first_slab_is_stored_on_its_seam():
     assert np.array_equal(v[0, :-1, :-1], first[:-1, :-1])
 
 
-def _analysis_field(center):
-    """u = (1 - 0.75 exp(-|x - c|^2 / 0.35^2)) (1 - t/2) on 32^2 and 33 slabs."""
-    mp = ql.ModelParams(p=3.0, n=2)
-    grid = ql.GridSpec(origin=[-1.0, -1.0], extent=[2.0, 2.0], cells=[32, 32],
+def _analysis_field(center, cells=32):
+    """u = (1 - 0.75 exp(-|x - c|^2 / 0.35^2)) (1 - t/2) on cells^n and 33 slabs."""
+    n = len(center)
+    mp = ql.ModelParams(p=3.0, n=n)
+    grid = ql.GridSpec(origin=[-1.0] * n, extent=[2.0] * n, cells=[cells] * n,
                        time_start=0.0, time_end=1.0)
     dip = _dip(center)
     return ql.field_from_function(mp, grid, np.linspace(0.0, 1.0, 33),
                                   lambda xs, t: dip(xs, t) * (1.0 - t / 2.0))
 
 
-# name: (image's dip centre, map of values, map of a point's space coordinates)
+C3_OPS = (0.25, -0.125, 0.0625)
+
+# name: (dip centre, image's dip centre, map of values, map of a point's space
+# coordinates, cells per axis, ulp bound of density_estimate's CSV)
 OP_CASES = {
-    "axis_swap": (C2[::-1], lambda v: np.swapaxes(v, 1, 2), lambda x: [x[1], x[0]]),
-    "reflection": ((-C2[0], C2[1]), lambda v: v[:, ::-1, :], lambda x: [-x[0], x[1]]),
+    "axis_swap": (C2, C2[::-1], lambda v: np.swapaxes(v, 1, 2), lambda x: [x[1], x[0]], 32, 0),
+    "reflection": (C2, (-C2[0], C2[1]), lambda v: v[:, ::-1, :], lambda x: [-x[0], x[1]],
+                   32, 0),
+    # the 3D cells add up in another order after the permutation: 2 ulp seen
+    "cyclic_3d": (C3_OPS, tuple(np.roll(C3_OPS, 1)), lambda v: np.transpose(v, (0, 3, 1, 2)),
+                  lambda x: [x[2], x[0], x[1]], 16, 2),
 }
 
 
@@ -105,13 +113,20 @@ def _run(op, field, **options):
     return OPS[op](field, {"seed": 7}, **options)
 
 
+def _assert_rows_close(csv, csv_m, ulp):
+    (header, rows), (header_m, rows_m) = csv["trace"], csv_m["trace"]
+    assert header == header_m
+    for row, row_m in zip(rows, rows_m, strict=True):
+        assert np.all(np.abs(np.subtract(row, row_m)) <= ulp * np.spacing(np.abs(row)))
+
+
 @pytest.mark.parametrize("case", OP_CASES)
 def test_analysis_ops_are_equivariant(case):
-    center_image, image, image_x = OP_CASES[case]
-    field, mirror = _analysis_field(C2), _analysis_field(center_image)
+    center, center_image, image, image_x, cells, density_ulp = OP_CASES[case]
+    field, mirror = _analysis_field(center, cells), _analysis_field(center_image, cells)
     assert np.array_equal(image(field.values), mirror.values)
-    point = list(C2) + [1.0]
-    point_image = image_x(C2) + [1.0]
+    point = list(center) + [1.0]
+    point_image = image_x(center) + [1.0]
 
     def both(op, **options):
         (res, csv), (res_m, csv_m) = (_run(op, f, point=pt, **options)
@@ -119,18 +134,18 @@ def test_analysis_ops_are_equivariant(case):
         assert res.pop("point") == point and res_m.pop("point") == point_image
         return res, csv, res_m, csv_m
 
-    # the cutoff and the kernel read only |y - x0|^2, so E(s) maps bit for bit
+    # the cutoff and the kernel read only |y - x0|^2, so in 2D E(s) maps bit for bit
     res, csv, res_m, csv_m = both("density_estimate", s_min=0.125, s_max=0.5,
                                   eta_inner=0.25, eta_outer=0.5)
-    assert res == res_m and csv == csv_m
+    assert res == res_m
+    _assert_rows_close(csv, csv_m, density_ulp)
     # H and D add the mirrored cells in another order, which rounds afresh: 2 ulp seen
     _, csv, _, csv_m = both("almgren_scan")
-    for row, row_m in zip(csv["trace"][1], csv_m["trace"][1], strict=True):
-        assert np.all(np.abs(np.subtract(row, row_m)) <= 2 * np.spacing(np.abs(row)))
+    _assert_rows_close(csv, csv_m, 2)
     # u_inv_p is refused here: 13.9% of the cells fall below the singular floor
     res, csv, res_m, csv_m = both("apriori_scaling", quantity="mass", radii=[0.5, 0.25, 0.125])
     assert res == res_m and csv == csv_m
-    # the default test functions sit on the box centre, which both maps fix; the
+    # the default test functions sit on the box centre, which every map fixes; the
     # reflection turns the worst coordinate field Y of (iv) into -Y
     res, _ = _run("two_valued_check", field)
     res_m, _ = _run("two_valued_check", mirror)
