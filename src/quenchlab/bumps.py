@@ -171,14 +171,11 @@ class TestVectorField:
         if self.kind not in (COORDINATE, RADIAL):
             raise ValidationError(f"unknown vector-field kind {self.kind!r}")
 
-    def at(self, xs, eta, grad_eta, w):
-        """Y, div Y and DY[i, j] = dY_i/dx_j (shape (..., n, n)) at the points xs.
-
-        eta and grad_eta are the bump's spatial factor at xs and w its time
-        factor, so psi = eta w and grad psi = grad_eta w.
-        """
-        psi = eta * w
-        g = grad_eta * w
+    def at(self, xs):
+        """Y, div Y and DY[i, j] = dY_i/dx_j (shape (..., n, n)) at the points xs,
+        at time factor w = 1: at time t each of them is w(t) times these."""
+        psi = self.bump.space.value(xs)
+        g = self.bump.space.grad(xs)
         n = xs.shape[-1]
         jac = np.zeros(xs.shape + (n,))
         if self.kind == COORDINATE:

@@ -262,6 +262,10 @@ def _run_two_valued(field, ctx, *, center: Floats = None, r_out: Optional[float]
                     t_inner: Optional[float] = None, t_outer: Optional[float] = None,
                     rel_tol: float = 1e-3):
     g = field.grid
+    if center is not None and len(center) != g.n:
+        raise UsageError(f"center needs {g.n} coordinates, got {len(center)}")
+    if not rel_tol >= 0.0:
+        raise UsageError(f"rel_tol must be >= 0, got {rel_tol}")
     c = [g.origin[k] + 0.5 * g.extent[k] for k in range(g.n)] if center is None else center
     r_out = 0.25 * min(g.extent) if r_out is None else r_out
     tw = default_time_window(field, t_inner, t_outer)

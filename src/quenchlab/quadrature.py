@@ -9,15 +9,19 @@ interval (`spacetime_blocks`, which adds dt and u_t) are one type, `Cells`,
 made by one builder; the cell quantities the functionals share live on it:
 |grad u|^2, grad u . v and the energy density |grad u|^2/2 - u^(1-p)/(p-1).
 Every space-time integral (weak forms, scaling laws) goes through
-`integrate`, which takes several integrands, each with its own box, over one
-shared time window.  It streams `spacetime_blocks` one stored time interval
-at a time, builds each interval's block once over the union of the boxes and
-hands every integrand its slice (`Cells.sub`).  An integrand's `prepare`
-step runs once per window on its cell centres, so spatial factors (a test
-function's eta, grad eta, Lap eta) are not re-evaluated per block.
-`integrate` is also the one place a test function's time factor is sampled
-per block: w(t) and w'(t) of each distinct `TimeWindow` are evaluated once
-per block, at its midpoint, and handed to every integrand naming that window.
+`integrate`, which takes several integrands, each with its own box and its
+own time span, and sweeps the stored time intervals once over the union of
+them.  It streams `spacetime_blocks`, builds each interval's block once over
+the union of the boxes, builds a clipped block only where a span cuts the
+interval, and hands every integrand its slice (`Cells.sub`).  An integrand's
+`prepare` step runs once per call on its cell centres, so spatial factors (a
+test function's eta, grad eta, Lap eta, a vector field Y) are not
+re-evaluated per block.  `integrate` is also the one place a test function's
+time factor is sampled: w(t) and w'(t) of each distinct `TimeWindow` are
+evaluated once per block, at its midpoint, and handed to every integrand
+naming that window.  An integrand can also ask for its terms summed over the
+blocks cell by cell (`Integrand.moments`), which is how a dictionary of test
+functions linear in u is contracted over time.
 
 This module decides which cells cover a box, for slabs and blocks alike
 (`_cell_window`; stored slabs are cut to it before they are combined, and a
@@ -86,6 +90,11 @@ def _sub_cells(nodes: Tuple[slice, ...], outer: Tuple[slice, ...]) -> Tuple[slic
     return tuple(slice(a.start - o.start, a.stop - 1 - o.start) for a, o in zip(nodes, outer))
 
 
+def _points(centers: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """The points of the grid with per-axis coordinates centers, shape (len(c) for c) + (n,)."""
+    return np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1)
+
+
 def singular_floor(field: SpaceTimeField, u_floor: Optional[float] = None) -> float:
     """u_floor, or by default h^alpha: cells with u below it are singular."""
     return field.h ** field.params.alpha if u_floor is None else u_floor
@@ -111,7 +120,7 @@ class Cells:
 
     def points(self) -> np.ndarray:
         """Cell-center coordinates, shape u.shape + (n,)."""
-        return np.stack(np.meshgrid(*self.centers, indexing="ij"), axis=-1)
+        return _points(self.centers)
 
     def sub(self, sl: Tuple[slice, ...], centers: Tuple[np.ndarray, ...]) -> "Cells":
         """The cells sl of these, whose per-axis centers are centers."""
@@ -152,6 +161,11 @@ def slab_cells(field: SpaceTimeField, t: float, box=None) -> Cells:
     return _cells(g, t, centers, field.slab(t, slicer))
 
 
+def _clips(times: np.ndarray, t_lo: float, t_hi: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Each stored interval [t_j, t_j+1] clipped to [t_lo, t_hi]: the arrays of its ends."""
+    return np.maximum(times[:-1], t_lo), np.minimum(times[1:], t_hi)
+
+
 def spacetime_blocks(field: SpaceTimeField, t_lo=None, t_hi=None,
                      box=None) -> Iterator[Cells]:
     """Iterate space-time cells between stored slabs, clipped to [t_lo, t_hi].
@@ -161,19 +175,13 @@ def spacetime_blocks(field: SpaceTimeField, t_lo=None, t_hi=None,
     """
     g = field.grid
     times = field.times
-    if times.size < 2:
-        return
-    a = -np.inf if t_lo is None else t_lo
-    b = np.inf if t_hi is None else t_hi
     win = _cell_window(g, box)
     if win is None:
         return
     slicer, centers = win
-    for j in range(times.size - 1):
-        lo = max(times[j], a)
-        hi = min(times[j + 1], b)
-        if hi <= lo:
-            continue
+    los, his = _clips(times, -np.inf if t_lo is None else t_lo, np.inf if t_hi is None else t_hi)
+    for j in np.flatnonzero(his > los):
+        lo, hi = los[j], his[j]
         w_lo = field.values[j][slicer]
         w_hi = field.values[j + 1][slicer]
         dt_full = times[j + 1] - times[j]
@@ -185,13 +193,14 @@ def spacetime_blocks(field: SpaceTimeField, t_lo=None, t_hi=None,
 
 @dataclass
 class Integral:
-    """Midpoint-rule sums of one integrand over a space-time window."""
+    """Midpoint-rule sums of one integrand over its space-time window."""
 
     value: float        # sum over cells of w * (sum of the terms)
     scale: float        # sum over cells of w * (sum of |term|)
     cells: int          # space-time cells visited
     measure: float      # weighted measure of the support
     excluded: float     # weighted measure of the support where u < floor
+    moments: Optional[List[np.ndarray]] = None   # per term, sum over blocks of w * term
 
     @property
     def excluded_fraction(self) -> float:
@@ -200,15 +209,17 @@ class Integral:
 
 @dataclass(frozen=True)
 class Integrand:
-    """One integrand of `integrate`: its spatial box and how to evaluate it.
+    """One integrand of `integrate`: its space-time window and how to evaluate it.
 
     terms(blk, prep, ok, wt) returns (terms, support): a list of signed arrays
     over the cells of blk and a boolean support mask (None: every cell).  blk
     holds the integrand's slice of the interval's block; ok is blk.u >= floor,
     or None without a floor; wt is (w, w') of the test function's time factor
-    at blk.t_mid, or None without one.  prepare(pts) runs once per window on
+    at blk.t_mid, or None without one.  prepare(pts) runs once per call on
     the cell centers (shape blk.u.shape + (n,)) and returns prep; without it
-    prep is pts.  box None covers the whole grid.
+    prep is None.  box None covers the whole grid, span None the whole stored
+    history.  With moments, each term is summed over the blocks cell by cell
+    into Integral.moments, and value and scale stay 0.
     """
 
     terms: Callable[[Cells, Any, Optional[np.ndarray], Optional[Tuple[float, float]]],
@@ -216,6 +227,8 @@ class Integrand:
     box: Optional[Tuple] = None
     prepare: Optional[Callable[[np.ndarray], Any]] = None
     time: Optional[TimeWindow] = None
+    span: Optional[Tuple[float, float]] = None
+    moments: bool = False
 
 
 def _union_box(boxes: List[Optional[Tuple]]) -> Optional[Tuple]:
@@ -226,17 +239,20 @@ def _union_box(boxes: List[Optional[Tuple]]) -> Optional[Tuple]:
             tuple(np.max([b[1] for b in boxes], axis=0)))
 
 
-def integrate(field: SpaceTimeField, integrands: Sequence[Integrand], t_lo=None, t_hi=None,
+def integrate(field: SpaceTimeField, integrands: Sequence[Integrand],
               floor: Optional[float] = None) -> List[Integral]:
-    """Integrate each integrand over its box and the shared window [t_lo, t_hi].
+    """Integrate each integrand over its box and its time span, in one sweep.
 
-    Each stored interval's block is built once, over the union of the boxes,
-    and every integrand gets its slice of it; values are those of the block
-    built over its own box, so each result equals a one-integrand call bit for
-    bit, and each distinct time window (by value) is sampled once per block.
-    Every cell carries the weight w = dt * h^n, and per integrand the sums run
-    in block order.  The excluded measure counts support cells below the
-    floor.  Returns one Integral per integrand, in order.
+    The sweep visits each stored interval once, over the union of the boxes
+    and of the spans.  It builds the interval's block once over the union box,
+    and one more block for each distinct clip of the interval by a span that
+    cuts it more than the union does; every integrand gets its slice of the
+    block of its own clip.  Values are those of the blocks built over its own
+    box and span, so each result equals a one-integrand call bit for bit.
+    Each distinct time window (by value) is sampled once per block.  Every
+    cell carries the weight w = dt * h^n, and per integrand the sums run in
+    block order.  The excluded measure counts support cells below the floor.
+    Returns one Integral per integrand, in order.
     """
     g = field.grid
     out = [Integral(0.0, 0.0, 0, 0.0, 0.0) for _ in integrands]
@@ -248,23 +264,46 @@ def integrate(field: SpaceTimeField, integrands: Sequence[Integrand], t_lo=None,
     outer, _ = _cell_window(g, union)
     # each integrand's cells within the union block's cells
     slices = {i: _sub_cells(nodes, outer) for i, (nodes, _) in live.items()}
-    windows = {integrands[i].time for i in live} - {None}
+    spans = {i: integrands[i].span or (-np.inf, np.inf) for i in live}
+    clips = {i: _clips(field.times, *span) for i, span in spans.items()}
+    sweep = (min(a for a, _ in spans.values()), max(b for _, b in spans.values()))
+    los, his = _clips(field.times, *sweep)
     preps = {}
-    for blk in spacetime_blocks(field, t_lo, t_hi, box=union):
-        w = blk.dt * blk.volume
-        wts = {tw: (tw.value(blk.t_mid), tw.d1(blk.t_mid)) for tw in windows}
+
+    def interval(j: int, blk: Cells):
+        # a function, so its clipped blocks are freed before the next interval's are built
+        built = {(los[j], his[j]): blk}   # the interval's blocks, by clip
+        wts = {}
         for i, (_, centers) in live.items():
             it = integrands[i]
-            sub = blk.sub(slices[i], centers)
-            if i not in preps:   # every block of one window shares its cell centers
-                preps[i] = sub.points() if it.prepare is None else it.prepare(sub.points())
+            clip = (clips[i][0][j], clips[i][1][j])
+            if clip[1] <= clip[0]:
+                continue
+            if clip not in built:
+                built[clip], = spacetime_blocks(field, *clip, box=union)
+            b = built[clip]
+            if it.time is not None and (clip, it.time) not in wts:
+                wts[clip, it.time] = (it.time.value(b.t_mid), it.time.d1(b.t_mid))
+            sub = b.sub(slices[i], centers)
+            if i not in preps:   # every block of one call shares its cell centers
+                preps[i] = None if it.prepare is None else it.prepare(sub.points())
             ok = None if floor is None else sub.u >= floor
-            terms, support = it.terms(sub, preps[i], ok, wts.get(it.time))
+            terms, support = it.terms(sub, preps[i], ok, wts.get((clip, it.time)))
+            w = b.dt * b.volume
             res = out[i]
-            res.value += w * float(sum(terms).sum())
-            res.scale += w * float(sum(np.abs(t) for t in terms).sum())
+            if not it.moments:
+                res.value += w * float(sum(terms).sum())
+                res.scale += w * float(sum(np.abs(t) for t in terms).sum())
+            elif res.moments is None:
+                res.moments = [w * t for t in terms]
+            else:
+                for m, t in zip(res.moments, terms):
+                    m += w * t
             res.cells += int(sub.u.size)
             res.measure += w * (sub.u.size if support is None else float(support.sum()))
             if ok is not None:
                 res.excluded += w * float((~ok if support is None else support & ~ok).sum())
+
+    for j, blk in zip(np.flatnonzero(his > los), spacetime_blocks(field, *sweep, box=union)):
+        interval(j, blk)
     return out

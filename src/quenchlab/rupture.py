@@ -320,18 +320,22 @@ def apriori_scaling_check(field: SpaceTimeField, X0: ParabolicPoint, quantity: s
             density = blk.grad2() + floored_power(blk.u, ok, 1.0 - p)
         return [density * inside], inside
 
-    vals = []
+    # every cylinder is checked against the stored data, largest first,
+    # before the one integrate sweep over all of them
+    balls = []
     for rad in r:
         box = (tuple(c - rad), tuple(c + rad))
         # Q_r's top may pass the last slab by 1% of r^2: a collapse history
         # ends just before its quench point (1e-9 before t0 = 0 in criterion 6)
         top = field.times[-1] if 0 < X0.t - field.times[-1] <= 0.01 * rad ** 2 else X0.t
         field.require_inside(box, (X0.t - rad ** 2, top), f"Q_r at r={float(rad)}")
-        # the ball of Q_r is spatial, so it is prepared once per window
-        ball = Integrand(terms, box,
-                         lambda pts, rad=rad: np.sum((pts - c) ** 2, axis=-1) <= rad ** 2)
-        res, = integrate(field, [ball], X0.t - rad ** 2, X0.t,
-                         floor=None if quantity == "mass" else singular_floor(field, u_floor))
+        # the ball of Q_r is spatial, so it is prepared once
+        balls.append(Integrand(terms, box,
+                               lambda pts, rad=rad: np.sum((pts - c) ** 2, axis=-1) <= rad ** 2,
+                               span=(X0.t - rad ** 2, X0.t)))
+    vals = []
+    for rad, res in zip(r, integrate(field, balls, floor=None if quantity == "mass"
+                                     else singular_floor(field, u_floor))):
         if res.excluded_fraction > 0.01:
             raise AccuracyError(
                 f"singular cells carry {res.excluded_fraction:.1%} of Q_r at r={rad:g}")

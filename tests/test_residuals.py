@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import quenchlab as ql
+import quenchlab.residuals as residuals
 from quenchlab.bumps import bump_profile, bump_profile_d1, bump_profile_d2
-from quenchlab.errors import DomainError, SingularIntegrandError, UsageError
+from quenchlab.errors import DomainError, QuenchLabError, SingularIntegrandError, UsageError
+from quenchlab.ops import OPS
+from quenchlab.quadrature import integrate
 
 
 def profile(name, n=1, cells=256, L=1.0, exponent=None, ntimes=9):
@@ -305,7 +310,8 @@ def test_two_valued_time_factors_are_told_apart_by_value(p3_1d):
 
 def test_two_valued_samples_a_shared_time_window_once_per_block(p3_1d, monkeypatch):
     # every test function shares one TimeWindow: w(t) is taken once per block
-    # of its support, plus once on each slab side of (v)
+    # of its support in the one sweep, once per block in the worst (ii) bump's
+    # own pass, plus once on each slab side of (v)
     f = _moving_field(p3_1d)
     eta = centered_bump(1)
     calls = {"value": 0, "d1": 0}
@@ -322,7 +328,65 @@ def test_two_valued_samples_a_shared_time_window_once_per_block(p3_1d, monkeypat
     t = f.times
     blocks = int(np.sum(np.minimum(t[1:], hi) > np.maximum(t[:-1], lo)))
     assert blocks == 20
-    assert calls == {"value": blocks + 2, "d1": blocks}
+    assert calls == {"value": 2 * blocks + 2, "d1": 2 * blocks}
+
+
+@pytest.mark.parametrize("centers_per_axis", [3, 5])
+def test_two_valued_contracts_the_dictionary_over_time(centers_per_axis, monkeypatch):
+    # (ii)'s dictionary enters the sweep as two moments of u, so the
+    # distributional integrand runs only in the worst bump's own pass: once per
+    # block of the dictionary's window, whatever the dictionary's size.  Each
+    # contracted value lies within 1e-14 of its bump's scale of the bump's
+    # one-integrand value, and the reported (ii) is that bump's pass bit for bit
+    mp = ql.ModelParams(p=3.0, n=2)
+    grid = ql.GridSpec(origin=[-1.0, -1.0], extent=[2.0, 2.0], cells=[32, 32],
+                       time_start=-1.0, time_end=1.0)
+    f = ql.field_from_function(
+        mp, grid, np.linspace(-1.0, 1.0, 17),
+        lambda xs, t: (np.abs(xs[:, 0] * xs[:, 1]) * (1.3 + np.sin(2 * t))
+                       + 0.1 * (xs[:, 0] ** 2 + t) ** 2 + 0.05 * (xs[:, 1] + 1.0)))
+    bumps = residuals.default_bump_dictionary(f, centers_per_axis=centers_per_axis)
+    assert len(bumps) == 3 * centers_per_axis ** 2
+    alone = [integrate(f, [residuals._distributional(f, psi)])[0] for psi in bumps]
+
+    contracted, terms_calls = [], [0]
+    values, distributional = residuals._subcaloric_values, residuals._distributional
+
+    def record(*args):
+        contracted.append(values(*args))
+        return contracted[-1]
+
+    def counted(field, psi):
+        it = distributional(field, psi)
+
+        def terms(*args):
+            terms_calls[0] += 1
+            return it.terms(*args)
+
+        return dataclasses.replace(it, terms=terms)
+
+    monkeypatch.setattr(residuals, "_subcaloric_values", record)
+    monkeypatch.setattr(residuals, "_distributional", counted)
+    eta = centered_bump(2)
+    rep = ql.two_valued_caloric_check(f, [eta], vector_tests(f, eta), bumps)["ii"]
+    got, = contracted
+    for value, res in zip(got, alone):
+        assert abs(value - res.value) <= 1e-14 * res.scale
+    worst = alone[int(np.argmax(got))]
+    assert (rep.value, rep.scale, rep.quadrature_cells) == (-worst.value, worst.scale,
+                                                             worst.cells)
+    lo, hi = bumps[0].time_support()
+    assert terms_calls[0] == int(np.sum((f.times[1:] > lo) & (f.times[:-1] < hi))) == 14
+
+
+def test_two_valued_op_refuses_a_misshapen_center_and_a_negative_rel_tol():
+    f = profile("abs_x1x2", n=2, cells=16)
+    run = OPS["two_valued_check"]
+    with pytest.raises(QuenchLabError, match="center needs 2 coordinates, got 1"):
+        run(f, {}, center=[0.0])
+    with pytest.raises(QuenchLabError, match="rel_tol must be >= 0"):
+        run(f, {}, rel_tol=-1e-3)
+    assert run(f, {}, center=[0.0, 0.0], rel_tol=0.0)[0]["tolerances"] == {"rel_tol": 0.0}
 
 
 def test_two_valued_exact_scaling():

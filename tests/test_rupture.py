@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import quenchlab as ql
-from quenchlab.errors import AccuracyError, DomainError, UsageError
+from quenchlab.errors import AccuracyError, DegenerateFitError, DomainError, UsageError
 from quenchlab.rupture import RuptureSet, _count_tiles
 
 RADII = [0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125]
@@ -250,6 +250,23 @@ def test_apriori_singular_cells_gate(p3_1d):
     X0 = ql.ParabolicPoint((0.0,), 0.0)
     with pytest.raises(AccuracyError, match="singular cells"):
         ql.apriori_scaling_check(f, X0, "u_inv_p", APRIORI_RADII)
+
+
+def test_apriori_checks_every_cylinder_before_integrating(p3_2d):
+    # the whole ladder is checked against the stored data, largest radius
+    # first, before its one integrate sweep: Q_r at r = 0.5 and 0.25 pass the
+    # last slab (t = 0) by more than 1% of r^2, so r = 0.5 is refused even
+    # though the vanishing mass at r = 1, earlier in the ladder, would fail too
+    grid = ql.GridSpec(origin=[-1.0, -1.0], extent=[2.0, 2.0], cells=[16, 16],
+                       time_start=-1.5, time_end=0.0)
+    f = ql.field_from_function(p3_2d, grid, np.linspace(-1.5, 0.0, 7),
+                               lambda xs, t: np.zeros(xs.shape[0]))
+    with pytest.raises(DomainError, match=r"Q_r at r=0\.5\b"):
+        ql.apriori_scaling_check(f, ql.ParabolicPoint((0.0, 0.0), 0.005), "mass",
+                                 [0.25, 1.0, 0.5])
+    with pytest.raises(DegenerateFitError, match="integral vanished at r=1$"):
+        ql.apriori_scaling_check(f, ql.ParabolicPoint((0.0, 0.0), 0.0), "mass",
+                                 [0.25, 1.0, 0.5])
 
 
 def test_apriori_rejects_unknown_quantity(ode_field_dense):
