@@ -157,10 +157,9 @@ RADIAL = "radial_bump"
 
 @dataclass(frozen=True)
 class TestVectorField:
-    """Compactly supported vector field Y with analytic divergence/Jacobian.
-
-    coordinate_bump: Y = psi * e_axis
-    radial_bump:     Y = psi * (x - center)
+    """Compactly supported vector field Y = psi p, held in that product form:
+    p = e_axis (coordinate_bump, c = 0) or x - center (radial_bump, c = 1), so
+    DY = p (x) grad psi + c psi I and div Y = c n psi + grad psi . p.
     """
 
     kind: str
@@ -172,25 +171,13 @@ class TestVectorField:
             raise ValidationError(f"unknown vector-field kind {self.kind!r}")
 
     def at(self, xs):
-        """Y, div Y and DY[i, j] = dY_i/dx_j (shape (..., n, n)) at the points xs,
-        at time factor w = 1: at time t each of them is w(t) times these."""
-        psi = self.bump.space.value(xs)
-        g = self.bump.space.grad(xs)
-        n = xs.shape[-1]
-        jac = np.zeros(xs.shape + (n,))
+        """psi, grad psi, p, div Y and c at the points xs, at time factor w = 1:
+        at time t, psi, grad psi and div Y are w(t) times these, p and c stay."""
+        space = self.bump.space
+        psi, g = space.value(xs), space.grad(xs)
         if self.kind == COORDINATE:
-            y = np.zeros(xs.shape)
-            y[..., self.axis] = psi
-            jac[..., self.axis, :] = g
-            return y, g[..., self.axis], jac
-        d = xs - np.asarray(self.bump.space.center)
-        for i in range(n):
-            jac[..., i, :] = d[..., i, None] * g
-            jac[..., i, i] += psi
-        return d * psi[..., None], n * psi + np.sum(d * g, axis=-1), jac
-
-    def support_box(self):
-        return self.bump.support_box()
-
-    def time_support(self):
-        return self.bump.time.support()
+            p, c = np.zeros(xs.shape), 0.0
+            p[..., self.axis] = 1.0
+        else:
+            p, c = xs - np.asarray(space.center), 1.0
+        return psi, g, p, c * xs.shape[-1] * psi + np.sum(g * p, axis=-1), c

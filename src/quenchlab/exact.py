@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, UsageError, ValidationError
 from .field import SpaceTimeField, field_from_function, sample_many
 from .geometry import ParabolicCylinder, ParabolicPoint
 from .grid import GridSpec
@@ -56,10 +56,16 @@ class BlowupSpec:
     normalization: float = 1.0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValidationError("lambda must be positive")
+        if not 0 < self.lam < np.inf:
+            raise ValidationError(f"lambda must be positive and finite, got {self.lam}")
         if not self.normalization > 0:
             raise ValidationError("normalization must be positive")
+
+    def source(self, xs, ts):
+        """The points x0 + lam xs and times t0 + lam^2 ts that the blow-up
+        coordinates (xs, ts) read."""
+        return (np.asarray(self.base_point.x) + self.lam * xs,
+                self.base_point.t + self.lam ** 2 * np.asarray(ts, dtype=float))
 
 
 def rescale(field: SpaceTimeField, spec: BlowupSpec, target_grid: GridSpec,
@@ -69,16 +75,10 @@ def rescale(field: SpaceTimeField, spec: BlowupSpec, target_grid: GridSpec,
     v(x, t) = L^-1 lam^-alpha u(x0 + lam x, t0 + lam^2 t).  With L = 1 and u a
     solution, v is again a solution of the same equation.
     """
-    lam = spec.lam
-    alpha = field.params.alpha
-    x0 = np.asarray(spec.base_point.x)
-    t0 = spec.base_point.t
     target_times = np.asarray(target_times, dtype=float)
-    scale = spec.normalization * lam ** alpha
-
-    src_pts = x0 + lam * target_grid.node_points()
-    src_times = t0 + lam ** 2 * target_times
-    field.require_inside(src_pts, src_times, f"rescaled window at lambda={float(lam)}")
+    scale = spec.normalization * spec.lam ** field.params.alpha
+    src_pts, src_times = spec.source(target_grid.node_points(), target_times)
+    field.require_inside(src_pts, src_times, f"rescaled window at lambda={float(spec.lam)}")
 
     vals = np.empty((target_times.size,) + target_grid.node_shape)
     for j, ts in enumerate(src_times):
@@ -93,11 +93,15 @@ def self_similarity_residual(field: SpaceTimeField, base_point: ParabolicPoint,
     """Worst deviation from backward self-similarity about the base point.
 
     Returns max over lambda of sup over sampled window nodes of
-    |u(X) - lam^-alpha u(x0 + lam (x - x0), t0 + lam^2 (t - t0))|.
-    Zero (to float precision) iff the field is backward self-similar on the
-    sampled set.  The window must lie in t <= t0 and, with its image under
-    every lambda, in the stored data.
+    |u(X) - lam^-alpha u(x0 + lam (x - x0), t0 + lam^2 (t - t0))|, the map
+    `BlowupSpec.source` of X - X0.  Zero (to float precision) iff the field is
+    backward self-similar on the sampled set.  The window must lie in t <= t0
+    and, with its image under every lambda, in the stored data.  No lambda,
+    or lambda = 1, tests nothing and is refused.
     """
+    specs = [BlowupSpec(base_point, lam) for lam in lambdas]
+    if not specs or any(spec.lam == 1 for spec in specs):
+        raise UsageError(f"lambdas {list(lambdas)} is vacuous: give at least one, none of them 1")
     lo, hi = window.time_window()
     if hi > base_point.t + 1e-12:
         raise DomainError("self-similarity window must lie in t <= t0 of the base point")
@@ -115,17 +119,15 @@ def self_similarity_residual(field: SpaceTimeField, base_point: ParabolicPoint,
     if times.size == 0 or pts.shape[0] == 0:
         raise DomainError("window contains no stored samples")
 
-    maps = [(lam, x0 + lam * (pts - x0)) for lam in lambdas]
-    for lam, mapped in maps:
-        field.require_inside(mapped, base_point.t + lam ** 2 * (times - base_point.t),
-                             f"rescaled window at lambda={float(lam)}")
+    maps = [(spec.lam, *spec.source(pts - x0, times - base_point.t)) for spec in specs]
+    for lam, mapped, ts_m in maps:
+        field.require_inside(mapped, ts_m, f"rescaled window at lambda={float(lam)}")
     # the unmapped side does not depend on lambda: sample it once per time
     worst = 0.0
-    for t in times:
+    for j, t in enumerate(times):
         u = sample_many(field, pts, np.full(pts.shape[0], t))
-        for lam, mapped in maps:
-            ts_m = base_point.t + lam ** 2 * (t - base_point.t)
-            v = sample_many(field, mapped, np.full(pts.shape[0], ts_m))
+        for lam, mapped, ts_m in maps:
+            v = sample_many(field, mapped, np.full(pts.shape[0], ts_m[j]))
             worst = max(worst, float(np.max(np.abs(u - lam ** (-alpha) * v))))
     return worst
 

@@ -351,8 +351,8 @@ def almgren_scan(field: SpaceTimeField, x0: ParabolicPoint, w: WeightSpec,
     keeps monotonicity_claimed=False).
     """
     s_grid = np.asarray(list(s_grid), dtype=float)
-    if np.any(np.diff(s_grid) <= 0) or np.any(s_grid <= 0):
-        raise UsageError("s_grid must be positive and increasing")
+    if not np.isfinite(s_grid).all() or np.any(np.diff(s_grid) <= 0) or np.any(s_grid <= 0):
+        raise UsageError(f"s_grid must be finite, positive and increasing, got {s_grid.tolist()}")
     prepared = _prepare_weights(field, x0, w, s_grid[-1]) if s_grid.size else None
     H, D, N = [], [], []
     for s in s_grid:

@@ -114,8 +114,18 @@ SYNTHETIC = {"ode": ode_field, "radial_steady": radial_field,
 
 # -- analysis ops --------------------------------------------------------------------
 
+def _coordinates(name: str, values: List[float], n: int) -> List[float]:
+    """The list option name, refused unless it holds n finite coordinates."""
+    if len(values) != n:
+        raise UsageError(f"{name} needs {n} coordinates, got {len(values)}")
+    if not np.isfinite(values).all():
+        raise UsageError(f"{name} needs finite coordinates, got {list(values)}")
+    return values
+
+
 def _point(point, field: SpaceTimeField) -> ParabolicPoint:
     if point is not None:
+        point = _coordinates("point", point, field.n + 1)
         return ParabolicPoint(tuple(point[:-1]), point[-1])
     # default: the argmin node of the final slab at the final time
     x = field.grid.node_points()[int(np.argmin(field.values[-1]))]
@@ -262,11 +272,10 @@ def _run_two_valued(field, ctx, *, center: Floats = None, r_out: Optional[float]
                     t_inner: Optional[float] = None, t_outer: Optional[float] = None,
                     rel_tol: float = 1e-3):
     g = field.grid
-    if center is not None and len(center) != g.n:
-        raise UsageError(f"center needs {g.n} coordinates, got {len(center)}")
     if not rel_tol >= 0.0:
         raise UsageError(f"rel_tol must be >= 0, got {rel_tol}")
-    c = [g.origin[k] + 0.5 * g.extent[k] for k in range(g.n)] if center is None else center
+    c = ([g.origin[k] + 0.5 * g.extent[k] for k in range(g.n)] if center is None
+         else _coordinates("center", center, g.n))
     r_out = 0.25 * min(g.extent) if r_out is None else r_out
     tw = default_time_window(field, t_inner, t_outer)
     bump = SpaceTimeBump(space=CutoffSpec(tuple(c), 0.5 * r_out, r_out), time=tw)
@@ -294,7 +303,7 @@ def _run_self_similarity(field, ctx, *, point: Floats = None,
                          window_time: Optional[float] = None):
     x0 = _point(point, field)
     lambdas = list(lambdas)
-    wc = x0.x if window_center is None else window_center
+    wc = x0.x if window_center is None else _coordinates("window_center", window_center, field.n)
     wr = 0.25 * min(field.grid.extent) if window_radius is None else window_radius
     wt = float(field.times[-1]) if window_time is None else window_time
     window = ParabolicCylinder(ParabolicPoint(tuple(wc), wt), wr)

@@ -13,7 +13,9 @@ single-identity functions are one-integrand calls of `quadrature.integrate`;
 the two-valued check integrates all five conditions in one call, one sweep
 over the stored intervals whatever the time supports of its test functions.
 (iv) and (v) reuse the single-identity integrands without their u-power
-terms: 2 x stationary_residual and 2 x energy_inequality_defect.  (ii),
+terms: 2 x stationary_residual and 2 x energy_inequality_defect.  A vector
+field is held as Y = psi p, so DY(grad u, grad u) and grad u . Y come from one
+p . grad u per block, with no n x n Jacobian.  (ii),
 -distributional_residual without u^-p, is linear in u, so its bump
 dictionary enters the sweep contracted over time: two moments of u per time
 window, against which each bump's eta and Lap eta are summed once.  Every
@@ -104,16 +106,6 @@ def _distributional(field: SpaceTimeField, psi: SpaceTimeBump) -> Integrand:
                      psi.time_support())
 
 
-def _dy_quadratic(jac: np.ndarray, grad: List[np.ndarray]) -> np.ndarray:
-    """DY(grad u, grad u) = sum_ij (dY_i/dx_j) u_i u_j at cell centers."""
-    n = len(grad)
-    out = np.zeros_like(grad[0])
-    for i in range(n):
-        for j in range(n):
-            out += jac[..., i, j] * grad[i] * grad[j]
-    return out
-
-
 def stationary_residual(field: SpaceTimeField, Y: TestVectorField,
                         u_floor: Optional[float] = None,
                         potential: bool = True) -> ResidualReport:
@@ -127,7 +119,7 @@ def stationary_residual(field: SpaceTimeField, Y: TestVectorField,
     refinement.  The support of Y must sit inside the field domain: clipping
     it would drop the boundary terms of the identity.
     """
-    field.require_inside(Y.support_box(), Y.time_support(), "test function support")
+    field.require_inside(Y.bump.support_box(), Y.bump.time_support(), "test function support")
     floor = singular_floor(field, u_floor) if potential else None
     res, = integrate(field, [_stationary(field, Y)], floor=floor)
     if res.excluded_fraction > _EXCLUDED_FRACTION_LIMIT:
@@ -140,13 +132,17 @@ def _stationary(field: SpaceTimeField, Y: TestVectorField) -> Integrand:
     p = field.params.p
 
     def terms(blk, space, ok, wt):
-        yv, div, jac = space
+        psi, grad_psi, vec, div, c = space
         w, _ = wt
+        pg = blk.grad_dot(vec)   # p . grad u, which DY(grad u, grad u) and grad u . Y share
+        dy = pg * blk.grad_dot(grad_psi)
+        if c:
+            dy = dy + c * psi * blk.grad2()
         return [blk.energy_density(ok, p) * (div * w),
-                -w * _dy_quadratic(jac, blk.grad),
-                -w * (blk.dtu * blk.grad_dot(yv))], None
+                -w * dy,
+                -w * (blk.dtu * (psi * pg))], None
 
-    return Integrand(terms, Y.support_box(), Y.at, Y.bump.time, Y.time_support())
+    return Integrand(terms, Y.bump.support_box(), Y.at, Y.bump.time, Y.bump.time_support())
 
 
 def energy_inequality_defect(field: SpaceTimeField, eta: SpaceTimeBump,
@@ -282,7 +278,7 @@ def two_valued_caloric_check(field: SpaceTimeField,
     bumps = list(nonneg_bumps) if nonneg_bumps is not None else default_bump_dictionary(field)
     if not (etas and Ys and bumps):
         raise UsageError("every condition needs at least one test function")
-    for test in bumps + list(etas) + list(Ys):
+    for test in bumps + list(etas) + [Y.bump for Y in Ys]:
         field.require_inside(test.support_box(), test.time_support(), "test function support")
     # (ii)'s time windows, distinct by value, each over the union of its bumps' boxes
     boxes: Dict[TimeWindow, List[Tuple]] = {}

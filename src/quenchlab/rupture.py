@@ -4,7 +4,8 @@ The parabolic box dimension uses anisotropic tiles (spatial side r, temporal
 length r^2), matching coverings by parabolic cylinders: a time line has
 parabolic dimension 2, a spatial line 1.  The a priori laws refuse a
 cylinder Q_r that leaves the stored data (`SpaceTimeField.require_inside`),
-except that its top may pass the last slab by 1% of r^2.
+except that its top may pass the last slab by 1% of (4h)^2, a slack of the
+point and the grid that every radius shares.
 """
 
 from dataclasses import dataclass
@@ -220,8 +221,8 @@ def _loglog_fit(radii, counts, fit_range) -> Tuple[float, float]:
 
 def _validate_radii(radii, h: float, size: float):
     r = np.asarray(radii, dtype=float)
-    if r.ndim != 1 or r.size < 2 or np.any(np.diff(r) >= 0):
-        raise UsageError("radii must be a decreasing list with >= 2 entries")
+    if r.ndim != 1 or r.size < 2 or not np.isfinite(r).all() or np.any(np.diff(r) >= 0):
+        raise UsageError("radii must be a decreasing list of >= 2 finite entries")
     if r[-1] < 4.0 * h - 1e-12 or r[0] > size / 4.0 + 1e-12:
         raise UsageError(
             f"radii must lie within [4h, domain/4] = [{4*h:g}, {size/4:g}]")
@@ -305,9 +306,9 @@ def apriori_scaling_check(field: SpaceTimeField, X0: ParabolicPoint, quantity: s
     """
     if quantity not in _QUANTITIES:
         raise UsageError(f"quantity must be one of {_QUANTITIES}")
-    r = np.asarray(radii, dtype=float)
-    if np.any(np.diff(r) >= 0):
-        r = np.sort(r)[::-1]
+    r = np.sort(np.asarray(radii, dtype=float))[::-1]
+    if not (np.isfinite(r) & (r > 0)).all():
+        raise UsageError(f"radii must be finite and positive, got {r.tolist()}")
     p = field.params.p
     c = np.asarray(X0.x)
 
@@ -320,14 +321,15 @@ def apriori_scaling_check(field: SpaceTimeField, X0: ParabolicPoint, quantity: s
             density = blk.grad2() + floored_power(blk.u, ok, 1.0 - p)
         return [density * inside], inside
 
+    # Q_r's top may pass the last slab by 1% of (4h)^2, the default ladder's
+    # smallest cylinder, for every r alike: a collapse history ends just before
+    # its quench point (1e-9 before t0 = 0 in criterion 6)
+    top = field.times[-1] if 0 < X0.t - field.times[-1] <= 0.01 * (4.0 * field.h) ** 2 else X0.t
     # every cylinder is checked against the stored data, largest first,
     # before the one integrate sweep over all of them
     balls = []
     for rad in r:
         box = (tuple(c - rad), tuple(c + rad))
-        # Q_r's top may pass the last slab by 1% of r^2: a collapse history
-        # ends just before its quench point (1e-9 before t0 = 0 in criterion 6)
-        top = field.times[-1] if 0 < X0.t - field.times[-1] <= 0.01 * rad ** 2 else X0.t
         field.require_inside(box, (X0.t - rad ** 2, top), f"Q_r at r={float(rad)}")
         # the ball of Q_r is spatial, so it is prepared once
         balls.append(Integrand(terms, box,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import quenchlab as ql
-from quenchlab.errors import DomainError
+from quenchlab.errors import DomainError, UsageError
 from quenchlab.quadrature import spacetime_blocks
 from quenchlab.solver import _Workspace
 
@@ -135,6 +135,24 @@ def test_self_similarity_constant_field(p3_1d, ode_field_dyadic):
     win = ql.ParabolicCylinder(ql.ParabolicPoint((0.0,), -0.05), 0.3)
     res = ql.self_similarity_residual(f, ql.ParabolicPoint((0.0,), 0.0), [2.0], win)
     assert res == pytest.approx(abs(1.0 - 2.0 ** -0.5), abs=1e-12)
+
+
+@pytest.mark.parametrize("lambdas, match", [
+    ([0.0], "lambda must be positive"),
+    ([2.0, -1.0], "lambda must be positive"),
+    ([float("inf")], "lambda must be positive and finite"),
+    ([], r"lambdas \[\] is vacuous"),
+    ([1.0], r"lambdas \[1.0\] is vacuous"),
+    ([0.5, 1.0], r"lambdas \[0.5, 1.0\] is vacuous"),
+])
+def test_self_similarity_refuses_a_vacuous_or_nonpositive_lambda(ode_field_dyadic, lambdas,
+                                                                  match):
+    # lambda <= 0 is refused by BlowupSpec, the map rescale uses too; no
+    # lambda, or lambda = 1, compares the window with itself and reads 0
+    win = ql.ParabolicCylinder(ql.ParabolicPoint((0.0,), -0.05), 0.3)
+    with pytest.raises(UsageError, match=match):
+        ql.self_similarity_residual(ode_field_dyadic, ql.ParabolicPoint((0.0,), 0.0),
+                                    lambdas, win)
 
 
 def test_holder_limit_of_collapse(p3_1d):

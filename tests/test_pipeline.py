@@ -131,6 +131,27 @@ s_max = 0.1
         ql.run_pipeline(cfg)
 
 
+@pytest.mark.parametrize("op", ["apriori_scaling", "self_similarity"])
+def test_pipeline_reports_a_point_of_the_wrong_length(tmp_path, op):
+    # a 2D field read a two-entry point as an IndexError that escaped the run
+    # (apriori_scaling) or as a 1D point (self_similarity); it is refused, and
+    # the refusal is the op's error entry in the report
+    text = SYNTH.split("[analysis.freq]")[0].format(out=tmp_path / op).replace(
+        "n = 1", "n = 2").replace("origin = [-8.5]", "origin = [-1.0, -1.0]").replace(
+        "extent = [17.0]", "extent = [2.0, 2.0]").replace(
+        "cells = [1088]", "cells = [16, 16]") + f"""
+[analysis.bad]
+op = {op}
+point = [0.0, 0.5]
+""" + ("radii = [0.5, 0.25]\n" if op == "apriori_scaling" else "")
+    report = ql.run_pipeline(ql.parse_config_text(text), raise_errors=False)
+    block, = report.analyses
+    assert (block["status"], block["error_kind"]) == ("error", "UsageError")
+    assert block["message"] == "point needs 3 coordinates, got 2"
+    written = json.loads((tmp_path / op / "report.json").read_text())
+    assert written["analyses"][0]["message"] == block["message"]
+
+
 def test_pipeline_reraise_keeps_error_payload(tmp_path):
     # u = max(x1, 0) vanishes on every cylinder around x1 = -4: no mass at all
     text = SYNTH.split("[analysis.freq]")[0].format(out=tmp_path / "deg").replace(

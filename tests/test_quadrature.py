@@ -181,14 +181,14 @@ TWO_VALUED = {
         "i": (5.328125, 8.0, 8192),
         "ii": (-0.3687653710031618, 11.180642479045495, 2048),
         "iii": (-0.0001251121151971562, 0.02244345298901796, 845),
-        "iv": (0.001686902557628196, 0.24685910960230195, 1536),
+        "iv": (0.001686902557628189, 0.24685910960230195, 1536),
         "v": (0.024805050156479734, 0.027103370837404696, 845),
     },
     "breathing": {
         "i": (16.144948462730166, 8.0, 16384),
         "ii": (-0.5988403261733409, 16.107084598145004, 3584),
         "iii": (-0.0025114930990526975, 0.051339697759455905, 1521),
-        "iv": (0.007327124101887849, 0.46519239778908167, 2560),
+        "iv": (0.007327124101887846, 0.46519239778908167, 2560),
         "v": (-0.026497875707833227, 0.16793282068675755, 1521),
     },
 }

@@ -66,6 +66,44 @@ def test_cutoff_plateau_and_support():
     assert np.all(eta.laplacian(xs[:2], 2) == 0.0)
 
 
+@pytest.mark.parametrize("kind", ["coordinate_bump", "radial_bump"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_vector_field_product_form_matches_a_difference_jacobian(n, kind):
+    # at() gives psi, grad psi, p, div Y and c; the test builds Y = psi p itself
+    # and takes its Jacobian by central differences: div Y is its trace and
+    # DY(v, v) = (p . v)(grad psi . v) + c psi |v|^2 is v . DY v
+    rng = np.random.default_rng(7 + n)
+    center = np.array([0.1, -0.2, 0.05][:n])
+    bump = ql.SpaceTimeBump(space=ql.CutoffSpec(tuple(center), 0.2, 0.6),
+                            time=ql.TimeWindow(center=0.0, inner=0.3, outer=0.6))
+    Y = ql.TestVectorField(kind=kind, bump=bump, axis=n - 1)
+    # plateau, transition and outside of the support alike
+    xs = center + rng.uniform(-0.7, 0.7, size=(64, n))
+    v = rng.standard_normal((64, n))
+
+    def p_of(x):
+        return np.broadcast_to(np.eye(n)[n - 1], x.shape) if kind == "coordinate_bump" \
+            else x - center
+
+    def y_of(x):
+        return bump.space.value(x)[:, None] * p_of(x)
+
+    e = 1e-5
+    steps = e * np.eye(n)
+    jac = np.stack([(y_of(xs + d) - y_of(xs - d)) / (2 * e) for d in steps], axis=-1)
+    dpsi = np.stack([(bump.space.value(xs + d) - bump.space.value(xs - d)) / (2 * e)
+                     for d in steps], axis=-1)
+    psi, grad_psi, p, div, c = Y.at(xs)
+    assert c == (0.0 if kind == "coordinate_bump" else 1.0)
+    assert np.array_equal(psi, bump.space.value(xs))
+    assert np.array_equal(p, p_of(xs))
+    np.testing.assert_allclose(grad_psi, dpsi, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(div, np.trace(jac, axis1=-2, axis2=-1), rtol=0, atol=1e-6)
+    dy = np.sum(p * v, -1) * np.sum(grad_psi * v, -1) + c * psi * np.sum(v * v, -1)
+    np.testing.assert_allclose(dy, np.einsum("ki,kij,kj->k", v, jac, v), rtol=0, atol=1e-5)
+    assert np.abs(jac).max() > 0.5   # the points reach the transition
+
+
 # -- distributional residual ----------------------------------------------------
 
 def test_distributional_collapse_solution(p3_1d):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import quenchlab as ql
+import quenchlab.rupture as rupture
 from quenchlab.errors import AccuracyError, DegenerateFitError, DomainError, UsageError
 from quenchlab.rupture import RuptureSet, _count_tiles
 
@@ -252,21 +253,40 @@ def test_apriori_singular_cells_gate(p3_1d):
         ql.apriori_scaling_check(f, X0, "u_inv_p", APRIORI_RADII)
 
 
-def test_apriori_checks_every_cylinder_before_integrating(p3_2d):
+def test_apriori_checks_every_cylinder_before_integrating(p3_2d, monkeypatch):
     # the whole ladder is checked against the stored data, largest radius
-    # first, before its one integrate sweep: Q_r at r = 0.5 and 0.25 pass the
-    # last slab (t = 0) by more than 1% of r^2, so r = 0.5 is refused even
-    # though the vanishing mass at r = 1, earlier in the ladder, would fail too
+    # first, before its one integrate sweep: t0 = 0.005 passes the last slab
+    # (t = 0) by more than the point's slack, 1% of (4h)^2 = 0.0025, so r = 1
+    # is refused without integrating, though its vanishing mass would fail too
     grid = ql.GridSpec(origin=[-1.0, -1.0], extent=[2.0, 2.0], cells=[16, 16],
                        time_start=-1.5, time_end=0.0)
     f = ql.field_from_function(p3_2d, grid, np.linspace(-1.5, 0.0, 7),
                                lambda xs, t: np.zeros(xs.shape[0]))
-    with pytest.raises(DomainError, match=r"Q_r at r=0\.5\b"):
-        ql.apriori_scaling_check(f, ql.ParabolicPoint((0.0, 0.0), 0.005), "mass",
-                                 [0.25, 1.0, 0.5])
+    with monkeypatch.context() as m:
+        m.setattr(rupture, "integrate", None)
+        with pytest.raises(DomainError, match=r"Q_r at r=1\b"):
+            ql.apriori_scaling_check(f, ql.ParabolicPoint((0.0, 0.0), 0.005), "mass",
+                                     [0.25, 1.0, 0.5])
     with pytest.raises(DegenerateFitError, match="integral vanished at r=1$"):
         ql.apriori_scaling_check(f, ql.ParabolicPoint((0.0, 0.0), 0.0), "mass",
                                  [0.25, 1.0, 0.5])
+
+
+def test_apriori_top_slack_is_the_points_not_each_radius(p3_2d):
+    # a history ending at -1e-5 on a 64^2 grid: the top of Q_r may pass it by
+    # 1% of (4h)^2 = 1.6e-4 whatever r is, so each point gets one verdict for a
+    # ladder of large radii and a ladder of small ones
+    grid = ql.GridSpec(origin=[-1.0, -1.0], extent=[2.0, 2.0], cells=[64, 64],
+                       time_start=-0.25, time_end=-1e-5)
+    f = ql.radial_field(p3_2d, grid, ql.geometric_times(-0.25, -1e-5, 0.7))
+    ladders = ([0.48, 0.45], [0.25, 0.2])
+    inside = ql.ParabolicPoint((0.0, 0.0), -1e-5 + 1e-4)
+    for radii in ladders:
+        assert ql.apriori_scaling_check(f, inside, "mass", radii).fitted_dim > 0
+    outside = ql.ParabolicPoint((0.0, 0.0), -1e-5 + 0.002)
+    for radii in ladders:
+        with pytest.raises(DomainError, match=f"Q_r at r={radii[0]}\\b"):
+            ql.apriori_scaling_check(f, outside, "mass", radii)
 
 
 def test_apriori_rejects_unknown_quantity(ode_field_dense):

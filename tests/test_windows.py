@@ -93,14 +93,14 @@ def test_require_inside_tolerances():
         f.require_inside((np.array([-1.0, -1.0]), np.array([1.0, 1.0 + 1e-11])), 0.5, "wide")
 
 
-def test_apriori_top_may_pass_the_last_slab_by_one_percent_of_r2():
+def test_apriori_top_may_pass_the_last_slab_by_one_percent_of_4h_squared():
     grid = ql.GridSpec(origin=[-1.0, -1.0], extent=[2.0, 2.0], cells=[32, 32],
                        time_start=-0.25, time_end=0.0)
     f = ql.radial_field(P3_2D, grid, np.linspace(-0.25, 0.0, 9))
-    radii = [0.4, 0.2, 0.1]      # 1% of r^2 at r = 0.1 is 1e-4
-    ql.apriori_scaling_check(f, ql.ParabolicPoint((0.0, 0.0), 0.99e-4), "mass", radii)
-    with pytest.raises(DomainError, match="Q_r at r=0.1: time"):
-        ql.apriori_scaling_check(f, ql.ParabolicPoint((0.0, 0.0), 1.01e-4), "mass", radii)
+    radii = [0.4, 0.2, 0.1]      # h = 1/16: 1% of (4h)^2 is 6.25e-4 at every r
+    ql.apriori_scaling_check(f, ql.ParabolicPoint((0.0, 0.0), 6.2e-4), "mass", radii)
+    with pytest.raises(DomainError, match="Q_r at r=0.4: time"):
+        ql.apriori_scaling_check(f, ql.ParabolicPoint((0.0, 0.0), 6.3e-4), "mass", radii)
 
 
 def test_apriori_refuses_balls_that_leave_the_radial_checkpoint():
