@@ -5,13 +5,15 @@ name the pieces of the run.  Analyses are ordered sections [analysis.NAME]
 executed in file order.  Every section is checked when the config loads,
 against the fields of the dataclass it builds or the keyword-only parameters
 of the op or kind it names (see `ops`): an unknown section or key, a missing
-required key or a value of the wrong JSON type fails before any work starts.
+required key, a value of the wrong JSON type or a float that is NaN or
+Infinity fails before any work starts.
 """
 
 import configparser
 import hashlib
 import inspect
 import json
+import sys
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 from typing import Any, Callable, Dict, List, Literal, Optional, Union, get_args, get_origin
@@ -67,7 +69,8 @@ def _parse_value(raw: str):
 
 
 def _conform(ann, value):
-    """`value` as the annotation `ann` declares it, floats via float(); else TypeError."""
+    """`value` as the annotation `ann` declares it, floats via float(); else TypeError,
+    or ValueError for a number (a list entry too) that is NaN, infinite or past float range."""
     origin, args = get_origin(ann), get_args(ann)
     if origin is Union:
         for arg in args:
@@ -83,6 +86,8 @@ def _conform(ann, value):
             return [_conform(args[0], v) for v in value]
     elif ann is float:
         if type(value) in (int, float):
+            if not abs(value) <= sys.float_info.max:
+                raise ValueError(value)
             return float(value)
     elif type(value) is ann:
         return value
@@ -93,8 +98,8 @@ def check_options(section: str, fn: Callable, spec: Dict[str, Any]) -> Dict[str,
     """`spec` bound against the options `fn` declares, with float values converted.
 
     A class declares its constructor's parameters, a function its keyword-only
-    ones.  An unknown key, a missing required key or a value of the wrong JSON
-    type raises ValidationError.
+    ones.  An unknown key, a missing required key, a value of the wrong JSON
+    type or a float that is not finite raises ValidationError.
     """
     params = {p.name: p for p in inspect.signature(fn).parameters.values()
               if p.kind is p.KEYWORD_ONLY or isinstance(fn, type)}
@@ -110,6 +115,9 @@ def check_options(section: str, fn: Callable, spec: Dict[str, Any]) -> Dict[str,
         ann = params[key].annotation
         try:
             out[key] = _conform(ann, value)
+        except ValueError:
+            raise ValidationError(f"[{section}] {key} = {value!r} is not finite: "
+                                  f"NaN and Infinity are refused") from None
         except TypeError:
             name = ann.__name__ if isinstance(ann, type) else str(ann).replace("typing.", "")
             raise ValidationError(f"[{section}] {key} = {value!r} is not {name}") from None

@@ -46,7 +46,8 @@ class SpaceTimeField:
             raise ValidationError(
                 f"values shape {values.shape} does not match "
                 f"(ntimes,)+nodes {(times.size,) + grid.node_shape}")
-        if not np.all(np.isfinite(values)):
+        # NaN propagates through min and max, so two reductions check every value
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise ValidationError("field values must all be finite")
         if boundary_kind not in _BOUNDARY_KINDS:
             raise ValidationError(f"unknown boundary kind {boundary_kind!r}")

@@ -41,8 +41,9 @@ class WeightSpec:
     eta: Optional[Tuple[float, float]] = (0.5, 1.0)
 
     def __post_init__(self):
-        if self.truncation_multiple < 4.0:
-            raise ValidationError("truncation_multiple must be >= 4")
+        if not 4.0 <= self.truncation_multiple < np.inf:
+            raise ValidationError(f"truncation_multiple must be finite and >= 4, "
+                                  f"got {self.truncation_multiple}")
         if self.eta is not None and not 0.0 <= self.eta[0] < self.eta[1]:
             raise ValidationError(f"need 0 <= inner < outer, got {self.eta[0]}, {self.eta[1]}")
 
@@ -351,9 +352,11 @@ def almgren_scan(field: SpaceTimeField, x0: ParabolicPoint, w: WeightSpec,
     keeps monotonicity_claimed=False).
     """
     s_grid = np.asarray(list(s_grid), dtype=float)
+    if s_grid.size < 2:
+        raise UsageError(f"s_grid needs at least two samples to scan, got {s_grid.tolist()}")
     if not np.isfinite(s_grid).all() or np.any(np.diff(s_grid) <= 0) or np.any(s_grid <= 0):
         raise UsageError(f"s_grid must be finite, positive and increasing, got {s_grid.tolist()}")
-    prepared = _prepare_weights(field, x0, w, s_grid[-1]) if s_grid.size else None
+    prepared = _prepare_weights(field, x0, w, s_grid[-1])
     H, D, N = [], [], []
     for s in s_grid:
         hv, dv, nv = frequency(field, x0, s, w, prepared=prepared)

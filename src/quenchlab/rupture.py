@@ -229,35 +229,42 @@ def _validate_radii(radii, h: float, size: float):
     return r
 
 
-def _count_tiles(keys: np.ndarray) -> int:
-    """Number of distinct rows of a nonnegative int64 tile-key array (m, k).
+def _count_tiles(cols: Sequence[np.ndarray], refs: Sequence[float],
+                 sides: Sequence[float]) -> int:
+    """Number of distinct tiles (of the given sides, from refs) that the rows of cols meet.
 
-    Each row folds into one int64 over the key extents, so a 1-D unique does
-    the count; extents whose product would overflow fall back to rows.
+    Each column's tile index folds into one int64 in C order, as
+    np.ravel_multi_index does over the key extents, so a 1-D unique does the
+    count; extents whose product would overflow fall back to rows.
     """
-    dims = tuple(int(d) for d in keys.max(axis=0) + 1)
-    size = 1
-    for d in dims:
-        size *= d
-    if size > np.iinfo(np.int64).max:
-        return int(np.unique(keys, axis=0).shape[0])
-    return int(np.unique(np.ravel_multi_index(tuple(keys.T), dims)).size)
+    def keys():
+        return (np.floor((c - ref) / side).astype(np.int64)
+                for c, ref, side in zip(cols, refs, sides))
+
+    flat, size = 0, 1
+    for key in keys():
+        extent = int(key.max()) + 1
+        size *= extent
+        if size > np.iinfo(np.int64).max:
+            return int(np.unique(np.column_stack(list(keys())), axis=0).shape[0])
+        flat = flat * extent + key
+    return int(np.unique(flat).size)
 
 
-def _box_fit(cloud: np.ndarray, r: np.ndarray, parabolic: bool) -> DimensionFit:
-    """Count the tiles of side r that the rows of cloud meet, per radius, and fit.
+def _box_fit(cols: Sequence[np.ndarray], r: np.ndarray, parabolic: bool) -> DimensionFit:
+    """Count the tiles of side r that the rows of the columns cols meet, per radius, and fit.
 
     With parabolic, the last column is time and its tiles last r^2.  A cloud
     whose counts never change reads as dimension zero (every finite point set
     does, once the radii resolve its gaps).
     """
-    ref = cloud.min(axis=0)
+    refs = [col.min() for col in cols]
     counts = []
     for rad in r:
-        side = np.full(cloud.shape[1], rad)
+        sides = [rad] * len(cols)
         if parabolic:
-            side[-1] = rad ** 2
-        counts.append(_count_tiles(np.floor((cloud - ref) / side).astype(np.int64)))
+            sides[-1] = rad ** 2
+        counts.append(_count_tiles(cols, refs, sides))
     counts = np.asarray(counts)
     window = _fit_window(r)
     if np.all(counts == counts[0]):
@@ -275,7 +282,7 @@ def parabolic_box_dimension(S: RuptureSet, radii: Sequence[float]) -> DimensionF
     if len(S) == 0:
         raise UsageError("rupture set is empty")
     r = _validate_radii(radii, S.source_grid.spacing, max(S.source_grid.extent))
-    return _box_fit(np.column_stack([S.xs, S.ts]), r, parabolic=True)
+    return _box_fit(list(S.xs.T) + [S.ts], r, parabolic=True)
 
 
 def slice_dimension(S: RuptureSet, t: float, radii: Sequence[float]) -> DimensionFit:
@@ -285,7 +292,7 @@ def slice_dimension(S: RuptureSet, t: float, radii: Sequence[float]) -> Dimensio
     if not sel.any():
         raise DomainError(f"no rupture points within h^2 of t={t}")
     r = _validate_radii(radii, h, max(S.source_grid.extent))
-    return _box_fit(S.xs[sel], r, parabolic=False)
+    return _box_fit(list(S.xs[sel].T), r, parabolic=False)
 
 
 # -- a priori scaling laws ------------------------------------------------------

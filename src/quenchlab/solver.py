@@ -24,6 +24,8 @@ CONSTANT = "constant"
 ANALYTIC_TRACE = "analytic_trace"
 PERIODIC_BC = "periodic"
 
+_CHUNK = 32   # stored slabs per chunk of a solve's history
+
 
 @dataclass(frozen=True)
 class BoundaryData:
@@ -226,6 +228,10 @@ def solve_until_quench(initial: SpaceTimeField, boundary: BoundaryData,
     lifespan is u^(p+1)/(p+1), so this resolves the blow-down with a fixed
     number of steps per e-fold.  Returns all accepted slabs (subject to the
     storage stride) and a report with the extrapolated quench time.
+
+    The history is held once: each stored slab is written into a chunk of
+    _CHUNK slabs, and the field (or `BudgetError.partial`) is filled from the
+    chunks, each freed as soon as it is copied.
     """
     if initial.times.size != 1:
         raise UsageError("initial field must hold exactly one slab")
@@ -241,16 +247,27 @@ def solve_until_quench(initial: SpaceTimeField, boundary: BoundaryData,
     time_end = grid.time_end
     pexp = params.p + 1.0
 
-    stored_times = [t]
-    stored = [values.copy()]
+    stored_times = []
+    chunks = []
+
+    def store(time, slab):
+        k = len(stored_times) % _CHUNK
+        if k == 0:
+            chunks.append(np.empty((_CHUNK,) + slab.shape))
+        chunks[-1][k] = slab
+        stored_times.append(time)
+
+    def make_field():
+        out = np.empty((len(stored_times),) + grid.node_shape)
+        for start in range(0, out.shape[0], _CHUNK):
+            out[start:start + _CHUNK] = chunks.pop(0)[:out.shape[0] - start]
+        kind = PERIODIC if periodic else DIRICHLET_TRACED
+        return SpaceTimeField(params, grid, np.asarray(stored_times), out, boundary_kind=kind)
+
+    store(t, values)
     history = [(t, float(values.min()))]
     steps = 0
     quenched = False
-
-    def make_field():
-        kind = PERIODIC if periodic else DIRICHLET_TRACED
-        return SpaceTimeField(params, grid, np.asarray(stored_times),
-                              np.asarray(stored), boundary_kind=kind)
 
     while True:
         # stop when the remaining horizon is below one admissible step
@@ -272,21 +289,18 @@ def solve_until_quench(initial: SpaceTimeField, boundary: BoundaryData,
             raise NumericalError(f"positivity lost at t={t} (min={m_new})")
         history.append((t, m_new))
         if steps % config.store_stride == 0:
-            stored_times.append(t)
-            stored.append(values.copy())
+            store(t, values)
         if m_new <= config.quench_threshold:
             quenched = True
             break
 
     if stored_times[-1] != t:
-        stored_times.append(t)
-        stored.append(values.copy())
+        store(t, values)
 
     quench_time = _extrapolate_quench_time(history, time_end) if quenched else None
-    final = stored[-1]
-    m = float(final.min())
+    m = float(values.min())
     tol = 1e-12 * (1.0 + abs(m))
-    nodes = grid.node_points()[final.ravel() <= m + tol] if quenched else []
+    nodes = grid.node_points()[values.ravel() <= m + tol] if quenched else []
     report = QuenchReport(quench_time=quench_time,
                           quench_points=[ParabolicPoint(x, t) for x in nodes],
                           min_history=history, steps_taken=steps)

@@ -4,7 +4,7 @@ import json
 import pathlib
 import re
 import string
-from typing import get_args
+from typing import get_args, get_origin
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from quenchlab.cli import main as cli_main
 from quenchlab.errors import ValidationError
 from quenchlab.ops import BOUNDARY, INITIAL, OPS, SYNTHETIC, TIMES
 from quenchlab.pipeline import acquire_field
+from quenchlab.solver import SolverConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -140,6 +141,59 @@ def test_unknown_or_ill_typed_option_rejected_at_load(case):
     entry, name, value = case
     with pytest.raises(ValidationError, match=re.escape(f"[{entry[0]}]") + ".*" + name):
         ql.parse_config_text(_config(entry, {name: json.dumps(value)}))
+
+
+def _float_kind(ann):
+    """"scalar" or "list" when the annotation admits a float or a list of floats."""
+    if ann is float:
+        return "scalar"
+    if get_origin(ann) in (list, tuple):
+        return "list" if _float_kind(get_args(ann)[0]) else None
+    return next(filter(None, map(_float_kind, get_args(ann))), None)
+
+
+# the dataclass sections, which bind every constructor parameter
+BUILT = [("model", ql.ModelParams), ("grid", ql.GridSpec), ("solver", SolverConfig)]
+FLOAT_OPTIONS = sorted(
+    [(section, name, kind) for section, cls in BUILT
+     for name, p in inspect.signature(cls).parameters.items()
+     if (kind := _float_kind(p.annotation))]
+    + [(entry, name, kind) for entry in ENTRIES for name, p in _options(entry[3]).items()
+       if (kind := _float_kind(p.annotation))], key=str)
+
+
+def _nonfinite_config(section, name, value):
+    """A config that sets the option name of section (or of a registry entry) to value."""
+    if not isinstance(section, str):
+        return _config(section, {name: value})
+    text = BASE.format(out="unused") + TIMES_SECTION + SYNTHETIC_SECTION
+    if section == "solver":
+        return text + f"\n[solver]\n{name} = {value}\n"
+    text, count = re.subn(rf"^{name} = .*$", f"{name} = {value}", text, flags=re.M)
+    assert count == 1
+    return text
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("section, name, kind", FLOAT_OPTIONS,
+                         ids=[f"{s if isinstance(s, str) else s[0] + ':' + s[2]}:{n}"
+                              for s, n, _ in FLOAT_OPTIONS])
+def test_nonfinite_float_rejected_at_load(section, name, kind, value):
+    # JSON reads NaN and Infinity as floats; before this check an op met them
+    # at run time (OverflowError from int(inf), or a report that is not JSON)
+    text = _nonfinite_config(section, name, value if kind == "scalar" else f"[0.5, {value}]")
+    tag = section if isinstance(section, str) else section[0]
+    with pytest.raises(ValidationError, match=re.escape(f"[{tag}] {name} = ") + ".*not finite"):
+        ql.parse_config_text(text)
+
+
+def test_every_float_option_is_drawn():
+    names = {(s if isinstance(s, str) else s[2], n) for s, n, _ in FLOAT_OPTIONS}
+    assert names >= {("almgren_scan", "truncation"), ("density_estimate", "truncation"),
+                     ("almgren_scan", "s_min"), ("rupture_dimension", "tau"),
+                     ("rupture_dimension", "kappa"), ("two_valued_check", "rel_tol"),
+                     ("almgren_scan", "s_grid"), ("model", "p"), ("grid", "origin"),
+                     ("solver", "safety"), ("dip", "center"), ("explicit", "values")}
 
 
 def test_synthetic_constant_takes_value_not_exponent():

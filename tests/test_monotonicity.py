@@ -245,6 +245,21 @@ def test_almgren_scan_requires_increasing_grid(ode_field_dense):
         ql.almgren_scan(ode_field_dense, QUENCH, BARE, [0.2, 0.1])
 
 
+@pytest.mark.parametrize("s_grid", [[], [0.05]])
+def test_almgren_scan_refuses_a_scan_too_short_to_claim(ode_field_dense, s_grid):
+    # one sample or none has no interval to check, yet used to report
+    # monotonicity_claimed = True
+    with pytest.raises(UsageError, match="at least two samples"):
+        ql.almgren_scan(ode_field_dense, QUENCH, BARE, s_grid)
+
+
+@pytest.mark.parametrize("multiple", [np.nan, np.inf])
+def test_weight_spec_refuses_nonfinite_truncation(multiple):
+    # NaN passed the old `< 4` test
+    with pytest.raises(ValidationError, match="finite"):
+        ql.WeightSpec(truncation_multiple=multiple)
+
+
 def test_energy_scaling_covariance(p3_1d, ode_field_dyadic):
     # E(s; 0, rescale(u, lam)) = E(lam^2 s; X0, u) for the bare weight
     f = ode_field_dyadic

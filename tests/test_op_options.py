@@ -90,3 +90,20 @@ def test_every_list_option_is_fuzzed():
         ("apriori_scaling", "radii"), ("rupture_dimension", "radii"),
         ("two_valued_check", "center"), ("self_similarity", "lambdas"),
         ("self_similarity", "window_center")}
+
+
+@pytest.mark.parametrize("truncation", [math.nan, math.inf])
+@pytest.mark.parametrize("op", ["almgren_scan", "density_estimate"])
+def test_nonfinite_truncation_refused(op, truncation):
+    # through the API, past the config's float check: inf reached
+    # int(np.floor(inf)) as an OverflowError, NaN passed WeightSpec's `< 4` test
+    required = {k: v for k, v in REQUIRED.items() if k in inspect.signature(OPS[op]).parameters}
+    with pytest.raises(QuenchLabError, match="truncation_multiple must be finite"):
+        OPS[op](_field(2), {"seed": 7}, truncation=truncation, **required)
+
+
+@pytest.mark.parametrize("options", [{"num": 0}, {"num": 1}, {"s_grid": [0.05]}])
+def test_almgren_scan_refuses_fewer_than_two_samples(options):
+    # each used to report monotonicity_claimed = true (num = 0 with N_min null)
+    with pytest.raises(QuenchLabError, match="at least two samples"):
+        OPS["almgren_scan"](_field(1), {"seed": 7}, **options)

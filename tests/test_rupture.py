@@ -203,10 +203,11 @@ def test_tile_counts_match_row_unique(n):
 
 
 def test_tile_counts_fall_back_when_keys_overflow():
+    # unit tiles from 0, so each column's tile index is the column itself:
     # extents 2^40 x 2^40 do not fold into one int64
-    keys = np.array([[0, 0], [2 ** 40 - 1, 5], [0, 0], [7, 2 ** 40 - 1]], dtype=np.int64)
-    assert _count_tiles(keys) == 3
-    assert _count_tiles(keys[:, :1]) == 3
+    keys = np.array([[0, 0], [2 ** 40 - 1, 5], [0, 0], [7, 2 ** 40 - 1]], dtype=float)
+    assert _count_tiles(list(keys.T), [0.0, 0.0], [1.0, 1.0]) == 3
+    assert _count_tiles([keys[:, 0]], [0.0], [1.0]) == 3
 
 
 def test_dimension_errors():

@@ -1,10 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import quenchlab as ql
+from quenchlab import solver
 from quenchlab.errors import BudgetError, StiffnessError, UsageError, ValidationError
-from quenchlab.solver import _Workspace, step
+from quenchlab.solver import _CHUNK, _Workspace, step
 
 
 def ode_setup(cells=200, dt_initial=2e-3, safety=0.2, time_end=1.05, **kw):
@@ -124,6 +130,81 @@ def test_budget_error_carries_partial_field():
         ql.solve_until_quench(init, bd, cfg)
     partial = exc.value.partial
     assert partial is not None and partial.times.size >= 2
+
+
+# fixed steps of 0.2 * dt_initial while (min u)^4 > dt_initial: the first
+# 0.1 of the 1D collapse oracle, so a horizon of k steps stores k + 1 slabs
+_DT = 0.2 * 2e-3
+
+
+@pytest.mark.parametrize("steps, stride, max_steps, stored", [
+    (2 * _CHUNK - 1, 1, 500_000, 2 * _CHUNK),            # two full chunks
+    (2 * _CHUNK, 1, 500_000, 2 * _CHUNK + 1),            # one slab past them
+    (100, 3, 500_000, 35),                               # every third step, then the last
+    (200, 1, _CHUNK + 7, _CHUNK + 8),                    # BudgetError.partial
+], ids=["chunk_multiple", "one_past", "stride_3", "partial"])
+def test_chunked_history_matches_list_reference(monkeypatch, steps, stride, max_steps, stored):
+    # the reference is the history as a list of per-step copies, stacked
+    slabs = []
+
+    def recording_step(values, t, dt, *args, **kwargs):
+        out = step(values, t, dt, *args, **kwargs)
+        slabs.append((t + dt, out.copy()))
+        return out
+
+    monkeypatch.setattr(solver, "step", recording_step)
+    mp, init, bd, cfg = ode_setup(cells=16, time_end=steps * _DT, store_stride=stride,
+                                  max_steps=max_steps)
+    try:
+        field, _ = ql.solve_until_quench(init, bd, cfg)
+    except BudgetError as exc:
+        field = exc.partial
+    kept = [slabs[k - 1] for k in range(stride, len(slabs) + 1, stride)]
+    if kept[-1] is not slabs[-1]:
+        kept.append(slabs[-1])
+    ref_times = np.asarray([0.0] + [t for t, _ in kept])
+    ref_values = np.asarray([init.values[0]] + [v for _, v in kept])
+    assert field.times.size == stored
+    assert np.array_equal(field.times, ref_times)
+    assert np.array_equal(field.values, ref_values)
+
+
+_PEAK_SCRIPT = """
+import json, resource
+import numpy as np
+import quenchlab as ql
+
+# the collapse_2d benchmark solve: 515 stored slabs of 97^2 nodes, 37 MB
+mp = ql.ModelParams(p=3.0, n=2)
+grid = ql.GridSpec(origin=[-1.0, -1.0], extent=[2.0, 2.0], cells=[96, 96],
+                   time_start=0.0, time_end=1.05)
+u0 = ql.ode_solution(mp, -1.0)
+init = ql.field_from_function(mp, grid, [0.0], lambda xs, t: np.full(xs.shape[0], u0))
+bd = ql.BoundaryData(kind="analytic_trace", value_fn=lambda xs, t: np.full(
+    xs.shape[0], ql.ode_solution(mp, t - 1.0)))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+field, _ = ql.solve_until_quench(init, bd, ql.SolverConfig(dt_initial=1e-2, safety=0.2))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"growth": (after - before) * 1024, "nbytes": field.values.nbytes}))
+"""
+
+
+@pytest.mark.parametrize("mmap_threshold", ["131072", None], ids=["mmap_128k", "default"])
+def test_solve_holds_history_once(mmap_threshold):
+    # a fresh interpreter: freed chunks return to the OS only through munmap,
+    # and glibc's dynamic mmap threshold drifts in a long-lived process
+    env = dict(os.environ)
+    env.pop("MALLOC_MMAP_THRESHOLD_", None)
+    if mmap_threshold is not None:
+        env["MALLOC_MMAP_THRESHOLD_"] = mmap_threshold
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ql.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    peak = json.loads(out)
+    assert peak["nbytes"] >= 20 * 2 ** 20
+    # ru_maxrss counts KiB on Linux; per-step copies stacked into one array read 2.16
+    assert peak["growth"] <= 1.5 * peak["nbytes"]
 
 
 def test_stiffness_error_on_dt_underflow():
