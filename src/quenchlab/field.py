@@ -9,7 +9,6 @@ is refused, never clipped.  Everything here treats fields as immutable
 snapshots, so concurrent reads are safe.
 """
 
-import functools
 import itertools
 from typing import Tuple
 
@@ -47,7 +46,8 @@ class SpaceTimeField:
                 f"values shape {values.shape} does not match "
                 f"(ntimes,)+nodes {(times.size,) + grid.node_shape}")
         # NaN propagates through min and max, so two reductions check every value
-        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        lo, hi = float(values.min()), float(values.max())
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValidationError("field values must all be finite")
         if boundary_kind not in _BOUNDARY_KINDS:
             raise ValidationError(f"unknown boundary kind {boundary_kind!r}")
@@ -58,6 +58,8 @@ class SpaceTimeField:
         self.boundary_kind = boundary_kind
         self.values.setflags(write=False)
         self.times.setflags(write=False)
+        # the values are read-only, so their extremes cannot go stale
+        self.min_value, self.max_value = lo, hi
 
     @property
     def n(self) -> int:
@@ -67,10 +69,10 @@ class SpaceTimeField:
     def h(self) -> float:
         return self.grid.spacing
 
-    @functools.cached_property
+    @property
     def sup_norm(self) -> float:
-        """max |u| over the whole history; the values are read-only, so it cannot go stale."""
-        return max(float(self.values.max()), -float(self.values.min()))
+        """max |u| over the whole history."""
+        return max(self.max_value, -self.min_value)
 
     def __repr__(self):
         return (f"SpaceTimeField(n={self.n}, nodes={self.grid.node_shape}, "

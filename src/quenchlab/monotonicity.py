@@ -41,8 +41,10 @@ class WeightSpec:
     eta: Optional[Tuple[float, float]] = (0.5, 1.0)
 
     def __post_init__(self):
-        if not 4.0 <= self.truncation_multiple < np.inf:
-            raise ValidationError(f"truncation_multiple must be finite and >= 4, "
+        # past k = 55 the kernel's exp(-k^2/4) at the ball's edge is 0 in
+        # double precision, so a larger multiple truncates nothing more
+        if not 4.0 <= self.truncation_multiple <= 64.0:
+            raise ValidationError(f"truncation_multiple must be finite and in [4, 64], "
                                   f"got {self.truncation_multiple}")
         if self.eta is not None and not 0.0 <= self.eta[0] < self.eta[1]:
             raise ValidationError(f"need 0 <= inner < outer, got {self.eta[0]}, {self.eta[1]}")

@@ -161,6 +161,11 @@ def _run_almgren(field, ctx, *, point: Floats = None, s_grid: Floats = None,
     x0 = _point(point, field)
     # frequency integrates against the bare kernel: no cutoff to configure
     w = WeightSpec(truncation_multiple=truncation, eta=None)
+    if s_grid is None:
+        if not 0 < s_min < s_max:
+            raise UsageError(f"need 0 < s_min < s_max, got s_min={s_min}, s_max={s_max}")
+        if num < 2:
+            raise UsageError(f"num must give at least two samples, got {num}")
     grid = s_grid if s_grid is not None else np.geomspace(s_min, s_max, num).tolist()
     trace = almgren_scan(field, x0, w, grid, caloric=caloric,
                          gamma_half_reference=gamma_half, violation_tol=violation_tol)
@@ -305,6 +310,9 @@ def _run_self_similarity(field, ctx, *, point: Floats = None,
     lambdas = list(lambdas)
     wc = x0.x if window_center is None else _coordinates("window_center", window_center, field.n)
     wr = 0.25 * min(field.grid.extent) if window_radius is None else window_radius
+    # a wider window cannot lie in the grid, and its r^2 could overflow
+    if not 0 < wr <= max(field.grid.extent):
+        raise UsageError(f"window_radius must lie in (0, {max(field.grid.extent):g}], got {wr}")
     wt = float(field.times[-1]) if window_time is None else window_time
     window = ParabolicCylinder(ParabolicPoint(tuple(wc), wt), wr)
     res = self_similarity_residual(field, x0, lambdas, window)

@@ -75,7 +75,7 @@ def distributional_residual(field: SpaceTimeField, psi: SpaceTimeBump,
     support measure is reported.
     """
     field.require_inside(psi.support_box(), psi.time_support(), "test function support")
-    if float(field.values.min()) < 0:
+    if field.min_value < 0:
         raise UsageError("distributional residual requires u >= 0")
     floor = singular_floor(field, u_floor) if potential else None
     res, = integrate(field, [_distributional(field, psi)], floor=floor)
@@ -273,7 +273,7 @@ def two_valued_caloric_check(field: SpaceTimeField,
     reports scale exactly (by c for (ii), by c^2 for the quadratic ones) when
     the field is scaled by c.
     """
-    if float(field.values.min()) < 0:
+    if field.min_value < 0:
         raise UsageError("two-valued caloric checks require u >= 0 on the grid")
     bumps = list(nonneg_bumps) if nonneg_bumps is not None else default_bump_dictionary(field)
     if not (etas and Ys and bumps):

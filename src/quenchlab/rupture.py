@@ -8,6 +8,7 @@ except that its top may pass the last slab by 1% of (4h)^2, a slack of the
 point and the grid that every radius shares.
 """
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -23,6 +24,7 @@ from .quadrature import Integrand, floored_power, integrate, singular_floor
 
 _REFINE_CELLS = 4
 _BLOCK = 1024
+_CHUNK = 2 ** 14     # rows per chunk of tile keys
 
 
 @dataclass
@@ -186,12 +188,24 @@ def rupture_threshold(field: SpaceTimeField, kappa: float = 4.0) -> float:
 
 
 def rupture_set(field: SpaceTimeField, tau: float) -> RuptureSet:
-    """All space-time grid nodes with u <= tau (may be empty)."""
+    """All space-time grid nodes with u <= tau (may be empty), in time then C order.
+
+    The set is filled slab by slab into arrays sized by a counting pass, so
+    no mask or index array spans the whole history.
+    """
     if tau <= 0:
         raise UsageError("tau must be positive")
-    it, isp = np.nonzero(field.values.reshape(field.times.size, -1) <= tau)
-    return RuptureSet(threshold=tau, xs=field.grid.node_points()[isp], ts=field.times[it],
-                      source_grid=field.grid)
+    grid = field.grid
+    hits = [0 if tau < field.min_value else np.count_nonzero(slab <= tau)
+            for slab in field.values]
+    xs = np.empty((sum(hits), grid.n))
+    axes = [grid.axis_nodes(k) for k in range(grid.n)]
+    at = 0
+    for j in np.flatnonzero(hits):
+        for k, i in enumerate(np.nonzero(field.values[j] <= tau)):
+            xs[at:at + hits[j], k] = axes[k][i]
+        at += hits[j]
+    return RuptureSet(threshold=tau, xs=xs, ts=np.repeat(field.times, hits), source_grid=grid)
 
 
 def _fit_window(radii: np.ndarray) -> Tuple[int, int]:
@@ -234,21 +248,30 @@ def _count_tiles(cols: Sequence[np.ndarray], refs: Sequence[float],
     """Number of distinct tiles (of the given sides, from refs) that the rows of cols meet.
 
     Each column's tile index folds into one int64 in C order, as
-    np.ravel_multi_index does over the key extents, so a 1-D unique does the
-    count; extents whose product would overflow fall back to rows.
+    np.ravel_multi_index does over the key extents (floor is monotone, so a
+    column's extent comes from its max); extents whose product would
+    overflow fall back to rows.  The keys are folded _CHUNK rows at a time,
+    and the chunks' distinct keys join the running set once those waiting
+    are as many as it holds, so a merge sorts at most twice the keys it adds.
     """
-    def keys():
-        return (np.floor((c - ref) / side).astype(np.int64)
-                for c, ref, side in zip(cols, refs, sides))
+    tiles = list(zip(cols, refs, sides))
 
-    flat, size = 0, 1
-    for key in keys():
-        extent = int(key.max()) + 1
-        size *= extent
-        if size > np.iinfo(np.int64).max:
-            return int(np.unique(np.column_stack(list(keys())), axis=0).shape[0])
-        flat = flat * extent + key
-    return int(np.unique(flat).size)
+    def key(c, ref, side):
+        return np.floor((c - ref) / side).astype(np.int64)
+
+    extents = [int(key(c.max(), ref, side)) + 1 for c, ref, side in tiles]
+    if math.prod(extents) > np.iinfo(np.int64).max:
+        return int(np.unique(np.column_stack([key(*t) for t in tiles]), axis=0).shape[0])
+    m = cols[0].size
+    seen, waiting = np.empty(0, dtype=np.int64), []
+    for lo in range(0, m, _CHUNK):
+        flat = 0
+        for (c, ref, side), extent in zip(tiles, extents):
+            flat = flat * extent + key(c[lo:lo + _CHUNK], ref, side)
+        waiting.append(np.unique(flat))
+        if sum(w.size for w in waiting) >= seen.size or lo + _CHUNK >= m:
+            seen, waiting = np.unique(np.concatenate([seen, *waiting])), []
+    return int(seen.size)
 
 
 def _box_fit(cols: Sequence[np.ndarray], r: np.ndarray, parabolic: bool) -> DimensionFit:

@@ -1,9 +1,13 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import quenchlab as ql
 import quenchlab.rupture as rupture
 from quenchlab.errors import AccuracyError, DegenerateFitError, DomainError, UsageError
+from quenchlab.ops import OPS
 from quenchlab.rupture import RuptureSet, _count_tiles
 
 RADII = [0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125]
@@ -119,7 +123,8 @@ def test_rupture_set_radial_slab(p3_2d):
 
 def test_rupture_set_empty_when_positive(p3_1d):
     f = ql.profile_field(p3_1d, grid_1d(32), [-1.0, -0.5], "constant", value=1.0)
-    assert len(ql.rupture_set(f, 0.5)) == 0
+    S = ql.rupture_set(f, 0.5)
+    assert len(S) == 0 and S.xs.shape == (0, 1) and S.ts.shape == (0,)
 
 
 def test_rupture_set_collapse_field_final_times_only(p3_1d):
@@ -208,6 +213,67 @@ def test_tile_counts_fall_back_when_keys_overflow():
     keys = np.array([[0, 0], [2 ** 40 - 1, 5], [0, 0], [7, 2 ** 40 - 1]], dtype=float)
     assert _count_tiles(list(keys.T), [0.0, 0.0], [1.0, 1.0]) == 3
     assert _count_tiles([keys[:, 0]], [0.0], [1.0]) == 3
+
+
+@functools.lru_cache(maxsize=None)
+def touchdown_field(n: int, cells: int) -> ql.SpaceTimeField:
+    """u = |x|^2 + sqrt(-t), touching down at the origin as t -> 0: below tau the
+    set is a ball that grows over the last slabs of a geometric ladder."""
+    grid = ql.GridSpec(origin=[-1.0] * n, extent=[2.0] * n, cells=[cells] * n,
+                       time_start=-1.0, time_end=-1e-6)
+    return ql.field_from_function(ql.ModelParams(p=3.0, n=n), grid,
+                                  ql.geometric_times(-1.0, -1e-6, 0.8),
+                                  lambda xs, t: (xs ** 2).sum(axis=-1) + np.sqrt(-t))
+
+
+def reference_tile_count(cols, sides) -> int:
+    """Distinct rows of per-point tile keys, from each column's min."""
+    keys = [np.floor((c - c.min()) / side).astype(np.int64) for c, side in zip(cols, sides)]
+    return int(np.unique(np.column_stack(keys), axis=0).shape[0])
+
+
+@pytest.mark.parametrize("n,cells,tau", [(2, 128, 0.5), (3, 32, 0.5)])
+def test_streamed_rupture_set_matches_whole_history_reference(n, cells, tau):
+    f = touchdown_field(n, cells)
+    it, isp = np.nonzero(f.values.reshape(f.times.size, -1) <= tau)
+    S = ql.rupture_set(f, tau)
+    # the set spans many slabs and, in 2D, more than one chunk of tile keys
+    assert np.unique(it).size > 10 and (n == 3 or len(S) > 2 * rupture._CHUNK)
+    assert S.xs.tobytes() == f.grid.node_points()[isp].tobytes()
+    assert S.ts.tobytes() == f.times[it].tobytes()
+    radii = [r for r in (0.5, 0.25, 0.125) if r >= 4.0 * f.h]
+    t = float(S.ts[-1])
+    on_slice = S.xs[np.abs(S.ts - t) <= f.h ** 2]
+    par = ql.parabolic_box_dimension(S, radii).counts
+    sl = ql.slice_dimension(S, t, radii).counts
+    for k, rad in enumerate(radii):
+        assert par[k] == reference_tile_count(list(S.xs.T) + [S.ts], [rad] * n + [rad ** 2])
+        assert sl[k] == reference_tile_count(list(on_slice.T), [rad] * n)
+
+
+@pytest.mark.parametrize("side", [0.5, 0.05, 0.01])
+def test_chunked_tile_count_matches_reference(side):
+    # few distinct keys (merged every chunk) and many (chunks wait to merge)
+    rng = np.random.default_rng(1)
+    cols = [rng.uniform(-1.0, 1.0, size=5 * rupture._CHUNK + 7) for _ in range(3)]
+    cols[-1].sort()
+    sides = [side, side, side ** 2]
+    assert _count_tiles(cols, [c.min() for c in cols], sides) == \
+        reference_tile_count(cols, sides)
+
+
+def test_rupture_dimension_holds_the_set_and_one_chunk():
+    f = touchdown_field(2, 128)
+    tracemalloc.start()
+    try:
+        result, _ = OPS["rupture_dimension"](f, {"seed": 0})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    S = ql.rupture_set(f, result["threshold"])
+    assert result["points"] == len(S) > 100000
+    # no mask, index or key array spans the history or the whole set
+    assert peak <= S.xs.nbytes + S.ts.nbytes + 2 ** 20
 
 
 def test_dimension_errors():

@@ -9,9 +9,13 @@ import importlib.util
 import inspect
 import pathlib
 
+import numpy as np
+
+import quenchlab as ql
 import quenchlab.field
 import quenchlab.pipeline
 import quenchlab.quadrature
+import quenchlab.rupture
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -36,3 +40,13 @@ def test_every_traced_name_resolves():
     # its entries are wrapped in place, one span per op
     handlers = quenchlab.pipeline._HANDLERS
     assert isinstance(handlers, dict) and handlers
+
+
+def test_rupture_set_len_is_its_point_count():
+    # tracing counts rupture.rupture_points as len() of rupture_set's result
+    grid = ql.GridSpec(origin=[-1.0], extent=[2.0], cells=[8], time_start=-1.0, time_end=0.0)
+    f = ql.field_from_function(ql.ModelParams(p=3.0, n=1), grid, [-1.0, -0.5, 0.0],
+                               lambda xs, t: np.abs(xs[:, 0]) - t)
+    S = quenchlab.rupture.rupture_set(f, 0.3)
+    # |x| - t <= 0.3 at t = 0 only, on the nodes 0 and +-0.25
+    assert len(S) == S.ts.size == S.xs.shape[0] == 3
