@@ -10,11 +10,15 @@ d/ds log H = 2N/s.
 The Gaussian weights read one prepared box per base point: |y - x0|^2 and the
 cutoff are evaluated once over the box the largest s reads, and every s slices
 them by `quadrature._sub_cells`, as `quadrature.integrate` slices its union block.
+E(s), H and D are summed over the kernel box by `quadrature`'s band rule
+(`_bands`): a box of fewer than 2 * `_BAND` cells in one piece, a larger one
+band by band, each band's slab cells weighted by its slice of the prepared
+arrays, which are themselves filled band by band.
 """
 
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import gammaincc
@@ -23,7 +27,8 @@ from .bumps import bump_profile
 from .errors import AccuracyWarning, UsageError, ValidationError
 from .field import SpaceTimeField
 from .geometry import ParabolicPoint
-from .quadrature import _cell_window, _sub_cells, singular_floor, slab_cells
+from .quadrature import (Cells, _bands, _cell_window, _points, _sub_cells, singular_floor,
+                         slab_cells)
 
 
 @dataclass(frozen=True)
@@ -142,22 +147,31 @@ def _prepare_weights(field: SpaceTimeField, x0: ParabolicPoint, w: WeightSpec,
     if s_top <= 0:
         raise UsageError("s must be positive")
     c = np.asarray(x0.x)
-    win = _cell_window(field.grid, _kernel_box(c, w, s_top))
+    box = _kernel_box(c, w, s_top)
+    win = _cell_window(field.grid, box)
     y2 = eta = None
     if win is not None:
-        y2 = np.sum((np.stack(np.meshgrid(*win[1], indexing="ij"), axis=-1) - c) ** 2, axis=-1)
-        if w.eta is not None:
-            inner, outer = w.eta
-            eta = bump_profile((np.sqrt(y2) - inner) / (outer - inner))
+        shape = tuple(len(ck) for ck in win[1])
+        y2 = np.empty(shape)
+        eta = None if w.eta is None else np.empty(shape)
+        for rows in _bands(field.grid, box):
+            nodes, centers = _cell_window(field.grid, box, rows)
+            sl = _sub_cells(nodes, win[0])
+            y2[sl] = np.sum((_points(centers) - c) ** 2, axis=-1)
+            if eta is not None:
+                eta[sl] = bump_profile((np.sqrt(y2[sl]) - w.eta[0]) / (w.eta[1] - w.eta[0]))
     return _PreparedWeights(field, x0, w, float(s_top), win and win[0], y2, eta)
 
 
 def _gaussian_weights(field: SpaceTimeField, x0: ParabolicPoint, s: float,
-                      w: WeightSpec, prepared: Optional[_PreparedWeights] = None):
-    """The cells of the slab t0 - s on the truncated ball, and their G*eta weights.
+                      w: WeightSpec, prepared: Optional[_PreparedWeights] = None
+                      ) -> Iterator[Tuple[Cells, np.ndarray]]:
+    """The cells of the slab t0 - s on the truncated ball, and their G*eta
+    weights, piece by piece over the kernel box's bands (`quadrature._bands`).
 
     The kernel, its ball and the cutoff all read one |y - x0|^2 per cell, sliced
-    from prepared (by default prepared for s alone).
+    from prepared (by default prepared for s alone).  The arguments and the
+    window are checked once, before the first piece.
     """
     if s <= 0:
         raise UsageError("s must be positive")
@@ -174,26 +188,35 @@ def _gaussian_weights(field: SpaceTimeField, x0: ParabolicPoint, s: float,
     # the bare kernel's ball is cut to the grid: its kept mass is not checked
     field.require_inside(support, t_eval, f"slab t0 - s at s={float(s)}")
     box = _kernel_box(c, w, s)
-    cells = slab_cells(field, t_eval, box=box)
-    sl = _sub_cells(_cell_window(field.grid, box)[0], prepared.nodes)
-    y2 = prepared.y2[sl]
-    G = (4.0 * np.pi * s) ** (-field.n / 2.0) * np.exp(-y2 / (4.0 * s))
-    G = np.where(y2 <= radius ** 2, G, 0.0)
-    if prepared.eta is not None:
-        G = G * prepared.eta[sl]
-    return cells, G * cells.volume
+
+    def pieces():
+        for rows in _bands(field.grid, box):
+            cells = slab_cells(field, t_eval, box=box, rows=rows)
+            sl = _sub_cells(_cell_window(field.grid, box, rows)[0], prepared.nodes)
+            y2 = prepared.y2[sl]
+            G = (4.0 * np.pi * s) ** (-field.n / 2.0) * np.exp(-y2 / (4.0 * s))
+            G = np.where(y2 <= radius ** 2, G, 0.0)
+            if prepared.eta is not None:
+                G = G * prepared.eta[sl]
+            yield cells, G * cells.volume
+
+    return pieces()
 
 
 def weighted_energy_detail(field: SpaceTimeField, x0: ParabolicPoint, s: float,
                            w: WeightSpec, u_floor: Optional[float] = None,
                            prepared: Optional[_PreparedWeights] = None) -> EnergyEval:
     p = field.params.p
-    cells, wgt = _gaussian_weights(field, x0, s, w, prepared)
-    ok = cells.u >= singular_floor(field, u_floor)
-    term1 = s ** ((p - 1.0) / (p + 1.0)) * float((wgt * cells.energy_density(ok, p)).sum())
-    term2 = -s ** (-2.0 / (p + 1.0)) / (2.0 * (p + 1.0)) * float((wgt * cells.u ** 2).sum())
-    mass = float(wgt.sum())
-    excl = float((wgt * ~ok).sum())
+    floor = singular_floor(field, u_floor)
+    energy = height = mass = excl = 0.0
+    for cells, wgt in _gaussian_weights(field, x0, s, w, prepared):
+        ok = cells.u >= floor
+        energy += float((wgt * cells.energy_density(ok, p)).sum())
+        height += float((wgt * cells.u ** 2).sum())
+        mass += float(wgt.sum())
+        excl += float((wgt * ~ok).sum())
+    term1 = s ** ((p - 1.0) / (p + 1.0)) * energy
+    term2 = -s ** (-2.0 / (p + 1.0)) / (2.0 * (p + 1.0)) * height
     frac = excl / mass if mass > 0 else 0.0
     return EnergyEval(term1 + term2, frac, frac > 0.01)
 
@@ -335,9 +358,11 @@ def frequency(field: SpaceTimeField, x0: ParabolicPoint, s: float, w: WeightSpec
     """
     if w.eta is not None:
         raise UsageError("frequency integrates the bare kernel: pass a WeightSpec with eta=None")
-    cells, wgt = _gaussian_weights(field, x0, s, w, prepared)
-    H = float((wgt * cells.u ** 2).sum())
-    D = s * float((wgt * cells.grad2()).sum())
+    H = D = 0.0
+    for cells, wgt in _gaussian_weights(field, x0, s, w, prepared):
+        H += float((wgt * cells.u ** 2).sum())
+        D += float((wgt * cells.grad2()).sum())
+    D = s * D
     sup = field.sup_norm
     N = D / H if H > h_tol * max(sup * sup, 1e-300) else None
     return H, D, N

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .errors import QuenchLabError, UsageError, ValidationError
+from .errors import NumericalError, QuenchLabError, UsageError, ValidationError
 from .field import SpaceTimeField, field_from_function
 from .ops import OPS as _HANDLERS   # indexed per call: a tracer may wrap its entries
 from .qlf import atomic_write, load_field, save_field
@@ -161,8 +161,10 @@ def run_pipeline(config: RunConfig, raise_errors: bool = True) -> Report:
                                          "message": str(exc)}, {}, exc
         except (KeyError, TypeError, ValueError) as exc:
             wrapped = UsageError(f"bad options for {req.op}: {exc!r}")
-            return index, req, "error", {"error_kind": "UsageError",
-                                         "message": str(wrapped)}, {}, wrapped
+        except ArithmeticError as exc:   # overflow, zero division, floating-point error
+            wrapped = NumericalError(f"{req.op} failed: {exc!r}")
+        return index, req, "error", {"error_kind": type(wrapped).__name__,
+                                     "message": str(wrapped)}, {}, wrapped
 
     items = list(enumerate(config.analyses, start=1))
     if workers > 1 and len(items) > 1:

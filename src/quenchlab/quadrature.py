@@ -14,8 +14,8 @@ own time span, and sweeps the stored time intervals once over the union of
 them.  It streams `spacetime_blocks`, builds each interval's block once over
 the union of the boxes, builds a clipped block only where a span cuts the
 interval, and hands every integrand its slice (`Cells.sub`).  An integrand's
-`prepare` step runs once per call on its cell centres, so spatial factors (a
-test function's eta, grad eta, Lap eta, a vector field Y) are not
+`prepare` step runs once per call and piece on its cell centres, so spatial
+factors (a test function's eta, grad eta, Lap eta, a vector field Y) are not
 re-evaluated per block.  `integrate` is also the one place a test function's
 time factor is sampled: w(t) and w'(t) of each distinct `TimeWindow` are
 evaluated once per block, at its midpoint, and handed to every integrand
@@ -23,14 +23,29 @@ naming that window.  An integrand can also ask for its terms summed over the
 blocks cell by cell (`Integrand.moments`), which is how a dictionary of test
 functions linear in u is contracted over time.
 
+Large windows are swept in row bands (`_bands`), so no cell array spans a
+large window.  The partition is fixed per grid: bands of rows along axis 0,
+anchored at row 0, each holding at most `_BAND` cells.  A window of fewer
+than 2 * `_BAND` cells is one piece, itself; a larger one is summed piece by
+piece, its pieces being its cells in each band.  `integrate` builds the
+union block band by band, and a clipped block only in the bands where an
+integrand making that clip has cells; a whole window that straddles bands is
+stitched from the band blocks, which is bitwise since cell values are local
+to their corners.  An integrand's pieces thus depend only on its own window
+and the grid, and each result of a joint call equals a one-integrand call
+bit for bit.  The slab sums of `monotonicity` and of the energy inequality's
+sides read the same rule.
+
 This module decides which cells cover a box, for slabs and blocks alike
 (`_cell_window`; stored slabs are cut to it before they are combined, and a
 slab over no cell is refused), which cells of an enclosing window a sub-box
-takes (`_sub_cells`), and which cells are singular: u below the floor, by
-default h^alpha (`singular_floor`), where a u-power term is 0
-(`floored_power`, which the energy density's u^(1-p) goes through too).
+takes (`_sub_cells`), how a window is cut into bands (`_bands`), and which
+cells are singular: u below the floor, by default h^alpha
+(`singular_floor`), where a u-power term is 0 (`floored_power`, which the
+energy density's u^(1-p) goes through too).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -67,8 +82,9 @@ def cell_gradient(slab: np.ndarray, h: float) -> List[np.ndarray]:
     return out
 
 
-def _cell_window(grid: GridSpec, box: Optional[Tuple]):
-    """The cells covering box (None: every cell), clipped to the grid.
+def _cell_window(grid: GridSpec, box: Optional[Tuple], rows: Optional[Tuple[int, int]] = None):
+    """The cells covering box (None: every cell), clipped to the grid and to
+    the cell rows [rows[0], rows[1]) along axis 0 when rows is given.
 
     Returns the node slicer of those cells and their per-axis centres, or None
     when the box covers no cell.
@@ -79,10 +95,32 @@ def _cell_window(grid: GridSpec, box: Optional[Tuple]):
         h = grid.spacing
         ranges = [(max(int(np.floor((lo[k] - o) / h)), 0), min(int(np.ceil((hi[k] - o) / h)), c))
                   for k, (o, c) in enumerate(zip(grid.origin, grid.cells))]
+    if rows is not None:
+        ranges[0] = (max(ranges[0][0], rows[0]), min(ranges[0][1], rows[1]))
     if any(b <= a for a, b in ranges):
         return None
     return (tuple(slice(a, b + 1) for a, b in ranges),
             tuple(grid.axis_cell_centers(k)[a:b] for k, (a, b) in enumerate(ranges)))
+
+
+_BAND = 2 ** 13   # cells of one band: 64 KiB a float64 array
+
+
+def _bands(grid: GridSpec, box: Optional[Tuple]) -> List[Optional[Tuple[int, int]]]:
+    """The pieces of box's cells, as the cell rows each takes along axis 0.
+
+    Bands are fixed per grid: rows along axis 0 from row 0, each holding at
+    most _BAND cells (one row at least).  A window of fewer than 2 * _BAND
+    cells, or of none, is one piece, [None] (the whole window); a larger one
+    has one piece per band it meets, its cells in that band.
+    """
+    win = _cell_window(grid, box)
+    if win is None or math.prod(s.stop - 1 - s.start for s in win[0]) < 2 * _BAND:
+        return [None]
+    height = max(_BAND // math.prod(grid.cells[1:]), 1)
+    a, b = win[0][0].start, win[0][0].stop - 1
+    cuts = [a, *range((a // height + 1) * height, b, height), b]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _sub_cells(nodes: Tuple[slice, ...], outer: Tuple[slice, ...]) -> Tuple[slice, ...]:
@@ -151,10 +189,12 @@ def _cells(grid: GridSpec, t: float, centers: Tuple[np.ndarray, ...], window: np
                  grid.spacing ** grid.n, dt, None if slope is None else pool_corners(slope))
 
 
-def slab_cells(field: SpaceTimeField, t: float, box=None) -> Cells:
-    """Cell-center values and gradients of the slab at time t; refused if box covers no cell."""
+def slab_cells(field: SpaceTimeField, t: float, box=None,
+               rows: Optional[Tuple[int, int]] = None) -> Cells:
+    """Cell-center values and gradients of the slab at time t over box's cells
+    (those in rows, when given); refused if they are none."""
     g = field.grid
-    win = _cell_window(g, box)
+    win = _cell_window(g, box, rows)
     if win is None:
         raise DomainError(f"box {np.asarray(box, dtype=float).tolist()} covers no grid cell")
     slicer, centers = win
@@ -166,16 +206,17 @@ def _clips(times: np.ndarray, t_lo: float, t_hi: float) -> Tuple[np.ndarray, np.
     return np.maximum(times[:-1], t_lo), np.minimum(times[1:], t_hi)
 
 
-def spacetime_blocks(field: SpaceTimeField, t_lo=None, t_hi=None,
-                     box=None) -> Iterator[Cells]:
-    """Iterate space-time cells between stored slabs, clipped to [t_lo, t_hi].
+def spacetime_blocks(field: SpaceTimeField, t_lo=None, t_hi=None, box=None,
+                     rows: Optional[Tuple[int, int]] = None) -> Iterator[Cells]:
+    """Iterate space-time cells between stored slabs, clipped to [t_lo, t_hi],
+    over box's cells (those in rows, when given).
 
     u and grad are evaluated at the (clipped) interval midpoint via the
     linear-in-time interpolant; dtu is its exact slope over the interval.
     """
     g = field.grid
     times = field.times
-    win = _cell_window(g, box)
+    win = _cell_window(g, box, rows)
     if win is None:
         return
     slicer, centers = win
@@ -215,11 +256,13 @@ class Integrand:
     over the cells of blk and a boolean support mask (None: every cell).  blk
     holds the integrand's slice of the interval's block; ok is blk.u >= floor,
     or None without a floor; wt is (w, w') of the test function's time factor
-    at blk.t_mid, or None without one.  prepare(pts) runs once per call on
-    the cell centers (shape blk.u.shape + (n,)) and returns prep; without it
-    prep is None.  box None covers the whole grid, span None the whole stored
-    history.  With moments, each term is summed over the blocks cell by cell
-    into Integral.moments, and value and scale stay 0.
+    at blk.t_mid, or None without one.  blk is one piece of the window
+    (`_bands`): the whole window, or its cells in one band.  prepare(pts) runs
+    once per call and piece on the cell centers (shape blk.u.shape + (n,))
+    and returns prep; without it prep is None.  box None covers the whole
+    grid, span None the whole stored history.  With moments, each term is
+    summed over the blocks cell by cell into Integral.moments, and value and
+    scale stay 0.
     """
 
     terms: Callable[[Cells, Any, Optional[np.ndarray], Optional[Tuple[float, float]]],
@@ -245,65 +288,101 @@ def integrate(field: SpaceTimeField, integrands: Sequence[Integrand],
 
     The sweep visits each stored interval once, over the union of the boxes
     and of the spans.  It builds the interval's block once over the union box,
-    and one more block for each distinct clip of the interval by a span that
-    cuts it more than the union does; every integrand gets its slice of the
-    block of its own clip.  Values are those of the blocks built over its own
-    box and span, so each result equals a one-integrand call bit for bit.
-    Each distinct time window (by value) is sampled once per block.  Every
-    cell carries the weight w = dt * h^n, and per integrand the sums run in
-    block order.  The excluded measure counts support cells below the floor.
+    band by band when the union box is cut (`_bands`), and one more block for
+    each distinct clip of the interval by a span that cuts it more than the
+    union does, in each band where an integrand making that clip has cells.
+    Every integrand gets its slice of the block of its own clip: one per
+    piece of its window, a whole window that straddles bands stitched from
+    its band slices.  Values are those of the blocks built over its own box
+    and span, and its pieces depend on its own window only, so each result
+    equals a one-integrand call bit for bit.  Each distinct time window (by
+    value) is sampled once per block.  Every cell carries the weight
+    w = dt * h^n, and per integrand the sums run in block order, piece by
+    piece.  The excluded measure counts support cells below the floor.
     Returns one Integral per integrand, in order.
     """
     g = field.grid
     out = [Integral(0.0, 0.0, 0, 0.0, 0.0) for _ in integrands]
-    live = {i: win for i, win in enumerate(_cell_window(g, it.box) for it in integrands)
-            if win is not None}
+    wins = {i: _cell_window(g, it.box) for i, it in enumerate(integrands)}
+    live = [i for i, win in wins.items() if win is not None]
     if not live:
         return out
     union = _union_box([integrands[i].box for i in live])
-    outer, _ = _cell_window(g, union)
-    # each integrand's cells within the union block's cells
-    slices = {i: _sub_cells(nodes, outer) for i, (nodes, _) in live.items()}
+    bands = _bands(g, union)
+    # per band, each integrand's cells there: their slice of the band's union
+    # block, their centres, and their slice of the integrand's own window
+    parts = []
+    for rows in bands:
+        outer = _cell_window(g, union, rows)[0]
+        parts.append({})
+        for i in live:
+            win = _cell_window(g, integrands[i].box, rows)
+            if win is not None:
+                parts[-1][i] = (_sub_cells(win[0], outer), win[1], _sub_cells(win[0], wins[i][0]))
+    # a whole window met by several bands is stitched; its prep is keyed by i alone
+    whole = {i for i in live if _bands(g, integrands[i].box) == [None]}
+    last = {i: k for k, part in enumerate(parts) for i in part}
+    stitched = {i for i in whole if sum(i in part for part in parts) > 1}
     spans = {i: integrands[i].span or (-np.inf, np.inf) for i in live}
     clips = {i: _clips(field.times, *span) for i, span in spans.items()}
     sweep = (min(a for a, _ in spans.values()), max(b for _, b in spans.values()))
     los, his = _clips(field.times, *sweep)
     preps = {}
 
-    def interval(j: int, blk: Cells):
-        # a function, so its clipped blocks are freed before the next interval's are built
-        built = {(los[j], his[j]): blk}   # the interval's blocks, by clip
-        wts = {}
-        for i, (_, centers) in live.items():
+    def add(i: int, blk: Cells, own, key, wt):
+        # own: the cells of blk within the integrand's window, where its moments go
+        it = integrands[i]
+        if key not in preps:   # every block of one call shares a piece's cell centers
+            preps[key] = None if it.prepare is None else it.prepare(blk.points())
+        ok = None if floor is None else blk.u >= floor
+        terms, support = it.terms(blk, preps[key], ok, wt)
+        w = blk.dt * blk.volume
+        res = out[i]
+        if not it.moments:
+            res.value += w * float(sum(terms).sum())
+            res.scale += w * float(sum(np.abs(t) for t in terms).sum())
+        else:
+            if res.moments is None:
+                shape = tuple(len(c) for c in wins[i][1])
+                res.moments = [np.zeros(shape) for _ in terms]
+            for m, t in zip(res.moments, terms):
+                m[own] += w * t
+        res.cells += int(blk.u.size)
+        res.measure += w * (blk.u.size if support is None else float(support.sum()))
+        if ok is not None:
+            res.excluded += w * float((~ok if support is None else support & ~ok).sum())
+
+    def band(j: int, k: int, blk: Cells, wts: dict, pending: dict):
+        # a function, so the band's blocks are freed before the next band's are built
+        built = {(los[j], his[j]): blk}   # the band's blocks of the interval, by clip
+        for i, (sl, centers, own) in parts[k].items():
             it = integrands[i]
             clip = (clips[i][0][j], clips[i][1][j])
             if clip[1] <= clip[0]:
                 continue
             if clip not in built:
-                built[clip], = spacetime_blocks(field, *clip, box=union)
+                built[clip], = spacetime_blocks(field, *clip, box=union, rows=bands[k])
             b = built[clip]
             if it.time is not None and (clip, it.time) not in wts:
                 wts[clip, it.time] = (it.time.value(b.t_mid), it.time.d1(b.t_mid))
-            sub = b.sub(slices[i], centers)
-            if i not in preps:   # every block of one call shares its cell centers
-                preps[i] = None if it.prepare is None else it.prepare(sub.points())
-            ok = None if floor is None else sub.u >= floor
-            terms, support = it.terms(sub, preps[i], ok, wts.get((clip, it.time)))
-            w = b.dt * b.volume
-            res = out[i]
-            if not it.moments:
-                res.value += w * float(sum(terms).sum())
-                res.scale += w * float(sum(np.abs(t) for t in terms).sum())
-            elif res.moments is None:
-                res.moments = [w * t for t in terms]
-            else:
-                for m, t in zip(res.moments, terms):
-                    m += w * t
-            res.cells += int(sub.u.size)
-            res.measure += w * (sub.u.size if support is None else float(support.sum()))
-            if ok is not None:
-                res.excluded += w * float((~ok if support is None else support & ~ok).sum())
+            wt = wts.get((clip, it.time))
+            if i not in stitched:
+                add(i, b.sub(sl, centers), own, i if i in whole else (i, k), wt)
+                continue
+            if i not in pending:   # filled band by band, evaluated at its last band
+                shape = tuple(len(c) for c in wins[i][1])
+                pending[i] = Cells(b.t_mid, wins[i][1], np.empty(shape),
+                                   [np.empty(shape) for _ in b.grad], b.volume, b.dt,
+                                   np.empty(shape))
+            stitch = pending[i]
+            for dst, src in zip([stitch.u, stitch.dtu, *stitch.grad], [b.u, b.dtu, *b.grad]):
+                dst[own] = src[sl]
+            if k == last[i]:
+                add(i, pending.pop(i), ..., i, wt)
 
-    for j, blk in zip(np.flatnonzero(his > los), spacetime_blocks(field, *sweep, box=union)):
-        interval(j, blk)
+    sweeps = [spacetime_blocks(field, *sweep, box=union, rows=rows) for rows in bands]
+    for j in np.flatnonzero(his > los):
+        wts, pending = {}, {}
+        for k, blocks in enumerate(sweeps):
+            band(j, k, next(blocks), wts, pending)
     return out

@@ -21,7 +21,9 @@ dictionary enters the sweep contracted over time: two moments of u per time
 window, against which each bump's eta and Lap eta are summed once.  Every
 test function's support (and the energy inequality's [t1, t2]) must lie in
 the stored data (`SpaceTimeField.require_inside`): a clipped support drops
-boundary terms.
+boundary terms.  Large windows are summed band by band (`quadrature._bands`):
+the slab sides of the energy inequality and each bump's contraction against
+(ii)'s moments as `integrate` sums its blocks.
 Nothing here proves a field *is* a weak solution; the reports only falsify
 up to tolerance.
 """
@@ -34,8 +36,8 @@ import numpy as np
 from .bumps import CutoffSpec, SpaceTimeBump, TestVectorField, TimeWindow
 from .errors import DomainError, SingularIntegrandError, UsageError
 from .field import SpaceTimeField
-from .quadrature import (Integral, Integrand, _cell_window, _points, _sub_cells, _union_box,
-                         floored_power, integrate, singular_floor, slab_cells)
+from .quadrature import (Integral, Integrand, _bands, _cell_window, _points, _sub_cells,
+                         _union_box, floored_power, integrate, singular_floor, slab_cells)
 
 _EXCLUDED_FRACTION_LIMIT = 0.25
 
@@ -188,12 +190,16 @@ def _energy_report(field: SpaceTimeField, eta: SpaceTimeBump, t1: float, t2: flo
                    floor: Optional[float], res: Integral) -> ResidualReport:
     """The defect from the slab sides at t1, t2 and the time integral res."""
     p = field.params.p
+    box = eta.support_box()
 
     def side(t):
-        cells = slab_cells(field, t, box=eta.support_box())
-        density = cells.energy_density(None if floor is None else cells.u >= floor, p)
-        ev = eta.space.value(cells.points()) * eta.time.value(t)
-        return cells.volume * float((density * ev ** 2).sum())
+        total = 0.0
+        for rows in _bands(field.grid, box):
+            cells = slab_cells(field, t, box=box, rows=rows)
+            density = cells.energy_density(None if floor is None else cells.u >= floor, p)
+            ev = eta.space.value(cells.points()) * eta.time.value(t)
+            total += cells.volume * float((density * ev ** 2).sum())
+        return total
 
     s1, s2 = side(t1), side(t2)
     return ResidualReport(s2 - s1 - res.value, abs(s1) + abs(s2) + res.scale, res.cells,
@@ -322,16 +328,21 @@ def _subcaloric_values(field: SpaceTimeField, bumps: Sequence[SpaceTimeBump],
                        boxes: Dict[TimeWindow, Tuple],
                        moments: Dict[TimeWindow, Integral]) -> np.ndarray:
     """Each bump's integral  int u (-psi_t - Lap psi)  (no u^-p term) as
-    -<eta, U1> - <Lap eta, U0>, from the moments over its window's box."""
+    -<eta, U1> - <Lap eta, U0>, from the moments over its window's box, summed
+    piece by piece over the bump's bands."""
     g = field.grid
     values = []
     for psi in bumps:
         u0, u1 = moments[psi.time].moments
-        nodes, centers = _cell_window(g, psi.support_box())
-        sl = _sub_cells(nodes, _cell_window(g, boxes[psi.time])[0])
-        pts = _points(centers)
-        values.append(-float((psi.space.value(pts) * u1[sl]).sum())
+        outer = _cell_window(g, boxes[psi.time])[0]
+        value = 0.0
+        for rows in _bands(g, psi.support_box()):
+            nodes, centers = _cell_window(g, psi.support_box(), rows)
+            sl = _sub_cells(nodes, outer)
+            pts = _points(centers)
+            value += (-float((psi.space.value(pts) * u1[sl]).sum())
                       - float((psi.space.laplacian(pts, field.n) * u0[sl]).sum()))
+        values.append(value)
     return np.asarray(values)
 
 

@@ -78,7 +78,7 @@ def test_gaussian_weights_match_the_centred_cutoff_reference():
     rng = np.random.default_rng(20261020)
     for _ in range(60):
         field, x0, w, s = _random_weight_case(rng)
-        cells, wgt = _gaussian_weights(field, x0, s, w)
+        (cells, wgt), = _gaussian_weights(field, x0, s, w)
         c = np.asarray(x0.x)
         radius = w.truncation_multiple * np.sqrt(s)
         lo, hi = c - radius, c + radius
@@ -366,8 +366,8 @@ def test_prepared_weights_refuse_s_above_their_top_and_other_inputs():
     rng = np.random.default_rng(7)
     field, x0, w, s_min, s_max = _random_scan_case(rng)
     prepared = mono._prepare_weights(field, x0, w, s_max)
-    cells, wgt = _gaussian_weights(field, x0, s_max, w, prepared)
-    assert np.array_equal(wgt, _gaussian_weights(field, x0, s_max, w)[1])
+    (cells, wgt), = _gaussian_weights(field, x0, s_max, w, prepared)
+    assert np.array_equal(wgt, next(_gaussian_weights(field, x0, s_max, w))[1])
     with pytest.raises(UsageError, match="above the prepared"):
         _gaussian_weights(field, x0, np.nextafter(s_max, np.inf), w, prepared)
     with pytest.raises(UsageError, match="above the prepared"):

@@ -5,7 +5,7 @@ import pytest
 
 import quenchlab as ql
 from quenchlab.cli import main as cli_main
-from quenchlab.errors import BudgetError, DegenerateFitError, UsageError
+from quenchlab.errors import BudgetError, DegenerateFitError, NumericalError, UsageError
 
 SYNTH = """
 [run]
@@ -165,6 +165,28 @@ radii = [1.0, 0.5]
     with pytest.raises(DegenerateFitError, match="analysis 1 failed") as info:
         ql.run_pipeline(ql.parse_config_text(text))
     assert info.value.radii.tolist() == [1.0, 0.5]
+
+
+@pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError, FloatingPointError])
+def test_pipeline_reports_an_arithmetic_error(tmp_path, monkeypatch, error):
+    # an ArithmeticError used to escape raise_errors=False with no report on disk
+    def fails(field, ctx, **options):
+        raise error("math range error")
+
+    out = tmp_path / "arith"
+    cfg = ql.parse_config_text(SYNTH.format(out=out))
+    monkeypatch.setitem(ql.pipeline._HANDLERS, "rupture_dimension", fails)
+    report = ql.run_pipeline(cfg, raise_errors=False)
+    block = report.analyses[1]
+    assert (block["status"], block["error_kind"]) == ("error", "NumericalError")
+    assert block["message"] == f"rupture_dimension failed: {error.__name__}('math range error')"
+    written = json.loads((out / "report.json").read_text())
+    assert written["analyses"][1] == block
+    assert written["analyses"][0]["status"] == "ok"
+    (out / "report.json").unlink()
+    with pytest.raises(NumericalError, match="analysis 2 failed: rupture_dimension failed"):
+        ql.run_pipeline(cfg)
+    assert json.loads((out / "report.json").read_text())["analyses"][1] == block
 
 
 def test_pipeline_writes_beside_stale_temp_names(tmp_path):

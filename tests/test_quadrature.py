@@ -1,4 +1,6 @@
 import dataclasses
+import inspect
+import tracemalloc
 import re
 from collections import Counter
 
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import quenchlab as ql
 import quenchlab.quadrature as quadrature
+import quenchlab.residuals as residuals
 from quenchlab.errors import DomainError
 from quenchlab.quadrature import (Integrand, cell_gradient, integrate, slab_cells,
                                   spacetime_blocks)
@@ -238,10 +241,10 @@ def test_two_valued_builds_each_interval_once_per_window(monkeypatch):
     calls = []
     blocks = quadrature.spacetime_blocks
 
-    def counted(field, t_lo=None, t_hi=None, box=None):
+    def counted(field, t_lo=None, t_hi=None, box=None, rows=None):
         call = [(t_lo, t_hi), 0]
         calls.append(call)
-        for blk in blocks(field, t_lo, t_hi, box=box):
+        for blk in blocks(field, t_lo, t_hi, box=box, rows=rows):
             call[1] += 1
             yield blk
 
@@ -270,3 +273,305 @@ def test_apriori_ladders_bitwise():
         fit = ql.apriori_scaling_check(f, x0, q, [0.25, 0.177, 0.125, 0.0884, 0.0625],
                                        u_floor=1e-4)
         assert fit.counts.tolist() == ladder, q
+
+
+# -- row bands ---------------------------------------------------------------------
+#
+# Windows of 2 * _BAND cells or more are summed band by band.  On a 2D grid of
+# 160 x 128 cells a band is 64 rows, on a 3D grid of 48 x 32 x 32 cells 8 rows.
+
+def _banded_field(cells, h):
+    n = len(cells)
+    grid = ql.GridSpec(origin=[-0.5 * h * c for c in cells], extent=[h * c for c in cells],
+                       cells=cells, time_start=0.0, time_end=0.8)
+    times = np.array([0.0, 0.1, 0.35, 0.8])
+    values = np.random.default_rng(n).uniform(0.0, 2.0, (times.size,) + grid.node_shape)
+    return ql.SpaceTimeField(ql.ModelParams(p=3.0, n=n), grid, times, values)
+
+
+def _cell_box(grid, ranges):
+    """The box whose window is the cells [a, b) along each axis."""
+    h = grid.spacing
+    return (tuple(o + (a + 0.25) * h for o, (a, _) in zip(grid.origin, ranges)),
+            tuple(o + (b - 0.25) * h for o, (_, b) in zip(grid.origin, ranges)))
+
+
+BANDED = {
+    # cells, h, and the cell ranges of: a cut window, a whole window across a
+    # band edge, and a whole window inside one band (None, every cell, is cut too)
+    2: ([160, 128], 1.0 / 64, [((10, 150), (3, 123)), ((50, 90), (20, 60)),
+                               ((70, 100), (0, 128))]),
+    3: ([48, 32, 32], 1.0 / 16, [((4, 44), (0, 32), (2, 30)), ((6, 12), (8, 24), (8, 24)),
+                                 ((16, 24), (0, 32), (0, 32))]),
+}
+
+
+def _banded_case(n):
+    cells, h, ranges = BANDED[n]
+    field = _banded_field(cells, h)
+    g = field.grid
+    boxes = [None] + [_cell_box(g, r) for r in ranges]
+    cut, across, inside = (quadrature._bands(g, b) for b in boxes[1:])
+    assert quadrature._bands(g, None) != [None] and len(cut) > 1
+    # whole windows: one across a band edge, one inside a band
+    height = quadrature._BAND // int(np.prod(cells[1:]))
+    assert across == inside == [None]
+    assert ranges[1][0][0] // height != (ranges[1][0][1] - 1) // height
+    assert ranges[2][0][0] // height == (ranges[2][0][1] - 1) // height
+    integrands = [dataclasses.replace(k, box=box, span=k.span or (None, (0.05, 0.6))[j % 2])
+                  for j, (k, box) in enumerate((k, box) for k in KINDS for box in boxes)]
+    return field, integrands
+
+
+def _whole_window(field, it, floor):
+    """One integrand's sums over whole-window blocks: integrate without bands."""
+    res = quadrature.Integral(0.0, 0.0, 0, 0.0, 0.0)
+    win = quadrature._cell_window(field.grid, it.box)
+    prep = None if it.prepare is None else it.prepare(quadrature._points(win[1]))
+    for blk in spacetime_blocks(field, *(it.span or (None, None)), box=it.box):
+        ok = None if floor is None else blk.u >= floor
+        wt = None if it.time is None else (it.time.value(blk.t_mid), it.time.d1(blk.t_mid))
+        terms, support = it.terms(blk, prep, ok, wt)
+        w = blk.dt * blk.volume
+        if it.moments:
+            res.moments = [m + w * t for m, t in zip(res.moments or [0.0] * len(terms), terms)]
+        else:
+            res.value += w * float(sum(terms).sum())
+            res.scale += w * float(sum(np.abs(t) for t in terms).sum())
+        res.cells += blk.u.size
+        res.measure += w * (blk.u.size if support is None else float(support.sum()))
+        if ok is not None:
+            res.excluded += w * float((~ok if support is None else support & ~ok).sum())
+    return res
+
+
+# banded and whole-window sums differ only in the order of their additions
+SUM_ORDER_REL = 64 * np.finfo(float).eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(_multi_case(), st.integers(1, 6))
+def test_several_integrands_equal_one_call_each_in_small_bands(case, band):
+    # the drawn fields, boxes and spans of the case above, with bands of a few
+    # cells, so that cut, straddling and one-band windows meet at random
+    field, integrands, floor = case
+    saved = quadrature._BAND
+    quadrature._BAND = band
+    try:
+        together = integrate(field, integrands, floor=floor)
+        alone = [integrate(field, [it], floor=floor)[0] for it in integrands]
+    finally:
+        quadrature._BAND = saved
+    for it, a, b in zip(integrands, together, alone):
+        assert (a.value, a.scale, a.cells, a.measure, a.excluded) == \
+            (b.value, b.scale, b.cells, b.measure, b.excluded)
+        assert all(np.array_equal(x, y) for x, y in zip(a.moments or (), b.moments or ()))
+        if quadrature._cell_window(field.grid, it.box) is None:
+            continue
+        ref = _whole_window(field, it, floor)
+        assert a.cells == ref.cells
+        assert abs(a.value - ref.value) <= SUM_ORDER_REL * ref.scale
+        assert abs(a.measure - ref.measure) <= SUM_ORDER_REL * ref.measure
+        assert all(np.array_equal(x, y) for x, y in zip(a.moments or (), ref.moments or ()))
+
+
+@pytest.mark.parametrize("n", sorted(BANDED))
+@pytest.mark.parametrize("floor", [None, 1.0])
+def test_banded_integrands_equal_one_call_each_and_whole_window_sums(n, floor):
+    field, integrands = _banded_case(n)
+    together = integrate(field, integrands, floor=floor)
+    alone = [integrate(field, [it], floor=floor)[0] for it in integrands]
+    for it, a, b in zip(integrands, together, alone):
+        assert (a.value, a.scale, a.cells, a.measure, a.excluded) == \
+            (b.value, b.scale, b.cells, b.measure, b.excluded)
+        assert (a.moments is None) == (b.moments is None)
+        assert all(np.array_equal(x, y) for x, y in zip(a.moments or (), b.moments or ()))
+        ref = _whole_window(field, it, floor)
+        assert a.cells == ref.cells
+        assert abs(a.value - ref.value) <= SUM_ORDER_REL * ref.scale
+        for got, want in ((a.scale, ref.scale), (a.measure, ref.measure),
+                          (a.excluded, ref.excluded)):
+            assert abs(got - want) <= SUM_ORDER_REL * want
+        # cell by cell, the moments are the same sums in the same order
+        assert all(np.array_equal(x, y) for x, y in zip(a.moments or (), ref.moments or ()))
+    assert sum(r.cells > 0 for r in together) > len(integrands) // 2
+    assert any(r.moments is not None for r in together)
+
+
+def _whole_weights(field, x0, s, w):
+    """The slab t0 - s over the whole kernel box and its G*eta weights, with no bands."""
+    from quenchlab import monotonicity as mono
+    c = np.asarray(x0.x)
+    cells = slab_cells(field, x0.t - s, box=mono._kernel_box(c, w, s))
+    y2 = np.sum((cells.points() - c) ** 2, axis=-1)
+    G = (4.0 * np.pi * s) ** (-field.n / 2.0) * np.exp(-y2 / (4.0 * s))
+    G = np.where(y2 <= (w.truncation_multiple * np.sqrt(s)) ** 2, G, 0.0)
+    eta = 1.0 if w.eta is None else ql.CutoffSpec(x0.x, *w.eta).value(cells.points())
+    return cells, G * eta * cells.volume
+
+
+@pytest.mark.parametrize("n", sorted(BANDED))
+def test_banded_energy_and_frequency_equal_whole_window_sums(n):
+    from quenchlab import monotonicity as mono
+    field, _ = _banded_case(n)
+    g = field.grid
+    x0 = ql.ParabolicPoint((0.0,) * n, 0.8)
+    cut = ql.WeightSpec(eta=(0.5, 1.0))
+    bare = ql.WeightSpec(eta=None)
+    p = field.params.p
+    for s in (0.2, 0.4):
+        for w in (cut, bare):
+            assert len(quadrature._bands(g, mono._kernel_box(np.zeros(n), w, s))) > 1
+        cells, wgt = _whole_weights(field, x0, s, cut)
+        ok = cells.u >= quadrature.singular_floor(field)
+        a, b = s ** ((p - 1.0) / (p + 1.0)), s ** (-2.0 / (p + 1.0)) / (2.0 * (p + 1.0))
+        e_ref = (a * float((wgt * cells.energy_density(ok, p)).sum())
+                 - b * float((wgt * cells.u ** 2).sum()))
+        scale = (a * float((wgt * np.abs(cells.energy_density(ok, p))).sum())
+                 + b * float((wgt * cells.u ** 2).sum()))
+        assert abs(mono.weighted_energy_detail(field, x0, s, cut).value - e_ref) <= \
+            SUM_ORDER_REL * scale
+        cells, wgt = _whole_weights(field, x0, s, bare)
+        H, D, _ = ql.frequency(field, x0, s, bare)
+        assert abs(H - float((wgt * cells.u ** 2).sum())) <= SUM_ORDER_REL * H
+        assert abs(D - s * float((wgt * cells.grad2()).sum())) <= SUM_ORDER_REL * D
+
+
+def _radial_256():
+    # time-constant, so the stored times only need to resolve density's s_min
+    grid = ql.GridSpec(origin=[-1.0, -1.0], extent=[2.0, 2.0], cells=[256, 256],
+                       time_start=-0.25, time_end=-1e-5)
+    return ql.radial_field(ql.ModelParams(p=3.0, n=2), grid, [-0.25, -0.011, -0.009, -1e-5])
+
+
+def _two_valued_tests(field):
+    """The two_valued_check op's test functions: one bump, two coordinate fields, one radial."""
+    bump = ql.SpaceTimeBump(space=ql.CutoffSpec((0.0, 0.0), 0.25, 0.5),
+                            time=residuals.default_time_window(field))
+    ys = [ql.TestVectorField(kind="coordinate_bump", bump=bump, axis=k) for k in range(2)]
+    return bump, ys + [ql.TestVectorField(kind="radial_bump", bump=bump)]
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the working set of the bands: at most 24 float arrays of _BAND cells alive at
+# once (1.5 MiB), i.e. two blocks of n + 2 arrays, their node windows and the
+# term temporaries; one whole 256^2 block alone is 4 arrays of 8 * _BAND cells
+BAND_SLACK = 24 * 8 * quadrature._BAND
+
+
+def test_two_valued_and_density_peaks_are_their_persistent_arrays_plus_bands():
+    field = _radial_256()
+    g = field.grid
+    bump, ys = _two_valued_tests(field)
+
+    def prep_bytes(it):
+        prep = it.prepare(quadrature._points(quadrature._cell_window(g, it.box)[1]))
+        return sum(a.nbytes for a in prep if isinstance(a, np.ndarray))
+
+    # the sweep's preps, and (ii)'s two moments over the dictionary's boxes
+    sweep = ([residuals._contact(bump)] + [residuals._stationary(field, Y) for Y in ys]
+             + [residuals._energy(field, bump, bump.time_support())])
+    dictionary = quadrature._union_box([psi.support_box()
+                                        for psi in residuals.default_bump_dictionary(field)])
+    moments = 2 * 8 * int(np.prod([c.size for c in quadrature._cell_window(g, dictionary)[1]]))
+    persistent = sum(prep_bytes(it) for it in sweep) + moments
+    assert quadrature._bands(g, bump.support_box()) != [None]
+    peak = _traced_peak(ql.two_valued_caloric_check, field, [bump], ys)
+    assert peak <= persistent + BAND_SLACK, (peak, persistent)
+
+    # the prepared |y - x0|^2 and cutoff over the box of s_top = 2 s_max
+    from quenchlab import monotonicity as mono
+    x0 = ql.ParabolicPoint((0.0, 0.0), -1e-5)
+    w = ql.WeightSpec()
+    prepared = mono._prepare_weights(field, x0, w, 0.2)
+    persistent = prepared.y2.nbytes + prepared.eta.nbytes
+    assert persistent == 2 * 8 * 256 ** 2
+    peak = _traced_peak(ql.density_estimate, field, x0, w, 0.01, 0.1)
+    assert peak <= persistent + BAND_SLACK, (peak, persistent)
+
+
+def _tracing():
+    import importlib.util
+    import pathlib
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_cell_count_builds_each_interval_once_across_bands(monkeypatch):
+    # spacetime_blocks wrapped as perfbench/tracing.py wraps it: quadrature.cells
+    # counts every cell of every block it yields
+    field = _radial_256()
+    g = field.grid
+    bump, ys = _two_valued_tests(field)
+    # an eta whose time window differs from the dictionary's: its clips are its own
+    off = ql.SpaceTimeBump(space=bump.space, time=ql.TimeWindow(-0.12, 0.02, 0.1))
+
+    def traced_run(band):
+        monkeypatch.setattr(quadrature, "_BAND", band)
+        tracer = _tracing().Tracer("bands")
+        wrapped = tracer.wrap_generator("quadrature.spacetime_blocks", spacetime_blocks,
+                                        lambda blk: tracer.counters.update(
+                                            {"quadrature.blocks": 1,
+                                             "quadrature.cells": blk.u.size}))
+        calls = []
+
+        def recorded(field, t_lo=None, t_hi=None, box=None, rows=None):
+            call = [(t_lo, t_hi), rows, 0]
+            calls.append(call)
+            for blk in wrapped(field, t_lo, t_hi, box=box, rows=rows):
+                call[2] += blk.u.size
+                yield blk
+
+        monkeypatch.setattr(quadrature, "spacetime_blocks", recorded)
+        reports = ql.two_valued_caloric_check(field, [bump, off], ys)
+        monkeypatch.undo()
+        assert inspect.isgeneratorfunction(quadrature.spacetime_blocks)
+        return reports, calls, tracer.counters
+
+    # no window reaches 2 * 2^62 cells: every window whole, the sweep without bands
+    whole, whole_calls, whole_count = traced_run(2 ** 62)
+    banded, calls, count = traced_run(quadrature._BAND)
+    assert {k: r.quadrature_cells for k, r in banded.items()} == \
+        {k: r.quadrature_cells for k, r in whole.items()}
+    t = field.times
+    sweep = [c for c in calls if c[0] == (-np.inf, np.inf)]
+    clipped = [c for c in calls if c not in sweep]
+    whole_sweep, *whole_clipped, whole_worst = whole_calls
+    assert whole_sweep[:2] == [(-np.inf, np.inf), None]
+    # the sweep: every stored interval's cells once, band by band
+    bands = quadrature._bands(g, None)
+    assert [rows for _, rows, _ in sweep] == bands and len(bands) == 8
+    assert sum(c[2] for c in sweep) == whole_sweep[2] == (t.size - 1) * 256 ** 2
+    # clipped band blocks only where a span cuts an interval, and only in the
+    # bands where an integrand making that clip has cells
+    *clipped, worst = clipped
+    assert worst[2] == whole_worst[2]
+    spans = {"dictionary": residuals.default_time_window(field).support(),
+             "bump": bump.time_support(), "off": off.time_support()}
+    cuts = {name: {(max(t[j], a), min(t[j + 1], b)) for j in range(t.size - 1)
+                   if t[j] < a < t[j + 1] or t[j] < b < t[j + 1]}
+            for name, (a, b) in spans.items()}
+    assert sorted(c[0] for c in whole_clipped) == sorted(cuts["dictionary"] | cuts["off"])
+    eta_rows = quadrature._bands(g, bump.support_box())
+    assert len(eta_rows) == 4
+    expected = sorted([(cut, rows) for cut in cuts["dictionary"] for rows in bands]
+                      + [(cut, rows) for cut in cuts["off"] - cuts["dictionary"]
+                         for rows in bands if any(rows[0] < b and a < rows[1]
+                                                  for a, b in eta_rows)])
+    assert sorted((c[0], c[1]) for c in clipped) == expected
+    assert cuts["off"] - cuts["dictionary"]
+    # so the traced count is the unbanded one, less the clipped cells no integrand needs
+    assert count["quadrature.cells"] == sum(c[2] for c in calls)
+    assert whole_count["quadrature.cells"] - count["quadrature.cells"] == \
+        sum(c[2] for c in whole_clipped) - sum(c[2] for c in clipped) > 0
