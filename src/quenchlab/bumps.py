@@ -175,9 +175,8 @@ class TestVectorField:
         at time t, psi, grad psi and div Y are w(t) times these, p and c stay."""
         space = self.bump.space
         psi, g = space.value(xs), space.grad(xs)
-        if self.kind == COORDINATE:
-            p, c = np.zeros(xs.shape), 0.0
-            p[..., self.axis] = 1.0
+        if self.kind == COORDINATE:   # a constant p, broadcast against xs
+            p, c = np.eye(xs.shape[-1])[self.axis], 0.0
         else:
             p, c = xs - np.asarray(space.center), 1.0
         return psi, g, p, c * xs.shape[-1] * psi + np.sum(g * p, axis=-1), c

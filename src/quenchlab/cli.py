@@ -8,10 +8,10 @@
 `analyze` takes its options from the one [analysis.*] section of --config
 that runs --op (several are refused); `dimension` is the rupture_dimension op
 with its defaults and --tau.  The --op choices are the keys of `ops.OPS`.
+Both run their op through `pipeline.run_op`, as `simulate` does.
 
 Exit codes: 0 ok, 2 usage/validation, 3 numerical/accuracy, 4 budget,
-5 corrupt file.  QUENCHLAB_THREADS (a positive integer) caps analysis
-parallelism.
+5 corrupt file.
 """
 
 import argparse
@@ -22,7 +22,7 @@ import sys
 from .config import check_options, load_config
 from .errors import QuenchLabError, UsageError
 from .ops import OPS
-from .pipeline import Report, emit_report, run_pipeline
+from .pipeline import Report, emit_report, run_op, run_pipeline
 from .qlf import load_field
 
 
@@ -72,9 +72,9 @@ def _cmd_analyze(args) -> int:
             options = dict(matches[0].options)
     if args.point:
         options["point"] = [float(v) for v in args.point.split(",")]
-    op = OPS[args.op]
     ctx = {"seed": seed, "boundary": boundary, "solver": solver}
-    result, _ = op(field, ctx, **check_options(f"--op {args.op}", op, options))
+    result, _ = run_op(args.op, field, ctx,
+                       check_options(f"--op {args.op}", OPS[args.op], options))
     report = Report(meta={"package": "quenchlab", "seed": seed, "config_digest": ""},
                     run={"mode": "analyze"},
                     analyses=[{"index": 1, "name": "cli", "op": args.op,
@@ -85,7 +85,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_dimension(args) -> int:
     tau = args.tau if args.tau == "auto" else float(args.tau)
-    result, csvs = OPS["rupture_dimension"](load_field(args.field), {}, tau=tau)
+    result, csvs = run_op("rupture_dimension", load_field(args.field), {}, {"tau": tau})
     if not result["points"]:
         sys.stdout.write(f"tau={result['threshold']:g}: rupture set empty\n")
         return 0

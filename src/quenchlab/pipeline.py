@@ -6,7 +6,6 @@ diffs between runs are meaningful.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -116,24 +115,27 @@ def acquire_field(cfg: RunConfig) -> Tuple[SpaceTimeField, Optional[QuenchReport
     return load_field(cfg.field_path), None
 
 
-def _analysis_workers() -> int:
-    raw = os.environ.get("QUENCHLAB_THREADS", "1")
+def run_op(op: str, field: SpaceTimeField, ctx: Dict[str, Any],
+           options: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, Tuple]]:
+    """(result, csvs) of the registered analysis op on field.  A QuenchLabError
+    passes through, a raw KeyError, TypeError or ValueError becomes a
+    UsageError, an ArithmeticError (overflow, zero division, ...) a NumericalError.
+    """
+    handler = _HANDLERS[op]
     try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise UsageError(f"QUENCHLAB_THREADS must be a positive integer, got {raw!r}")
-    return workers
+        return handler(field, ctx, **options)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad options for {op}: {exc!r}") from exc
+    except ArithmeticError as exc:
+        raise NumericalError(f"{op} failed: {exc!r}") from exc
 
 
 def run_pipeline(config: RunConfig, raise_errors: bool = True) -> Report:
-    """Acquire the field, run every analysis in order, write all outputs.
+    """Acquire the field, run every analysis in file order, write all outputs.
 
     Partial results are always written; with raise_errors the first analysis
     error is re-raised (tagged with its index) after the report is on disk.
     """
-    workers = _analysis_workers()
     os.makedirs(config.output_dir, exist_ok=True)
     field, quench = acquire_field(config)
     if config.mode != "load":
@@ -151,43 +153,26 @@ def run_pipeline(config: RunConfig, raise_errors: bool = True) -> Report:
 
     ctx = {"seed": config.seed, "boundary": config.boundary, "solver": config.solver}
 
-    def run_one(item):
-        index, req = item
-        try:
-            result, csvs = _HANDLERS[req.op](field, ctx, **req.options)
-            return index, req, "ok", result, csvs, None
-        except QuenchLabError as exc:
-            return index, req, "error", {"error_kind": type(exc).__name__,
-                                         "message": str(exc)}, {}, exc
-        except (KeyError, TypeError, ValueError) as exc:
-            wrapped = UsageError(f"bad options for {req.op}: {exc!r}")
-        except ArithmeticError as exc:   # overflow, zero division, floating-point error
-            wrapped = NumericalError(f"{req.op} failed: {exc!r}")
-        return index, req, "error", {"error_kind": type(wrapped).__name__,
-                                     "message": str(wrapped)}, {}, wrapped
-
-    items = list(enumerate(config.analyses, start=1))
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_one, items))
-    else:
-        outcomes = [run_one(it) for it in items]
-
     report = Report(
         meta={"package": "quenchlab", "version": __version__,
               "config_digest": config.digest, "seed": config.seed},
         run=run_block,
     )
     first_error = None
-    for index, req, status, result, csvs, exc in outcomes:
-        block = {"index": index, "name": req.name, "op": req.op, "status": status}
-        block.update(result)
+    for index, req in enumerate(config.analyses, start=1):
+        block = {"index": index, "name": req.name, "op": req.op, "status": "ok"}
         report.analyses.append(block)
+        try:
+            result, csvs = run_op(req.op, field, ctx, req.options)
+        except QuenchLabError as exc:
+            block.update(status="error", error_kind=type(exc).__name__, message=str(exc))
+            if first_error is None:
+                first_error = (index, exc)
+            continue
+        block.update(result)
         for tag, (header, rows) in csvs.items():
             path = os.path.join(config.output_dir, f"analysis_{index:02d}_{req.op}_{tag}.csv")
             _write_csv(path, header, rows)
-        if exc is not None and first_error is None:
-            first_error = (index, exc)
 
     atomic_write(os.path.join(config.output_dir, "report.json"),
                  [emit_report(report, "json")])

@@ -170,7 +170,7 @@ class Cells:
         return sum(gk ** 2 for gk in self.grad)
 
     def grad_dot(self, v: np.ndarray) -> np.ndarray:
-        """grad u . v for v of shape u.shape + (n,)."""
+        """grad u . v for v broadcasting against u.shape + (n,)."""
         return sum(gk * v[..., k] for k, gk in enumerate(self.grad))
 
     def energy_density(self, ok: Optional[np.ndarray], p: float) -> np.ndarray:

@@ -9,6 +9,10 @@ its range, and every Literal option to each value it admits.  Each call must
 return a finite, JSON-serialisable report or refuse with a QuenchLabError,
 and a second call must give the same bytes.  NaN and Infinity are refused
 when the config loads (tests/test_config.py), so the scalars here are finite.
+
+The fields are 1D, 2D and 3D.  In 2D and 3D the list options are also drawn
+with `quadrature._BAND` shrunk to 4 cells, so that every window of more than
+one row takes the band path (`quadrature._bands`).
 """
 
 import functools
@@ -21,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quenchlab as ql
+from quenchlab import quadrature
 from quenchlab.errors import QuenchLabError
 from quenchlab.ops import OPS
 
@@ -72,6 +77,24 @@ def _required(fn):
     return {k: v for k, v in REQUIRED.items() if k in params and params[k].default is params[k].empty}
 
 
+# (n, band): the field's dimension and quadrature._BAND (None: the default)
+SHAPES = [(1, None), (2, None), (3, None), (2, 4), (3, 4)]
+
+
+def _shape_id(shape) -> str:
+    n, band = shape
+    return str(n) if band is None else f"{n}-band{band}"
+
+
+@pytest.fixture
+def n(request, monkeypatch):
+    """The field's dimension, with quadrature._BAND set for the test."""
+    dim, band = request.param
+    if band is not None:
+        monkeypatch.setattr(quadrature, "_BAND", band)
+    return dim
+
+
 def _outcome(op: str, field, options) -> bytes:
     try:
         result, _ = OPS[op](field, {"seed": 7}, **options)
@@ -81,12 +104,12 @@ def _outcome(op: str, field, options) -> bytes:
     return json.dumps(result, sort_keys=True, allow_nan=False).encode()
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", SHAPES, indirect=True, ids=_shape_id)
 @pytest.mark.parametrize("op", LIST_OPS)
 def test_list_options_are_reported_or_refused(op, n):
     field = _field(n)
 
-    @settings(max_examples=20, deadline=None, derandomize=True)
+    @settings(max_examples=20 if n < 3 else 8, deadline=None, derandomize=True)
     @given(_options(n, op))
     def check(options):
         assert _outcome(op, field, options) == _outcome(op, field, options)
@@ -131,7 +154,7 @@ def _scalar_cases():
 SCALAR_CASES = _scalar_cases()
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", SHAPES[:3], indirect=True, ids=_shape_id)
 @pytest.mark.parametrize("op,name,value", SCALAR_CASES)
 def test_scalar_options_are_reported_or_refused(op, name, value, n):
     options = {**_required(OPS[op]), name: value}

@@ -189,6 +189,25 @@ def test_pipeline_reports_an_arithmetic_error(tmp_path, monkeypatch, error):
     assert json.loads((out / "report.json").read_text())["analyses"][1] == block
 
 
+@pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError, FloatingPointError])
+@pytest.mark.parametrize("command", [["analyze", "--op", "rupture_dimension"], ["dimension"]],
+                         ids=["analyze", "dimension"])
+def test_cli_reports_an_arithmetic_error(tmp_path, monkeypatch, capsys, error, command):
+    # analyze and dimension used to call the op directly: the error escaped
+    # as a traceback where simulate reports a NumericalError
+    def fails(field, ctx, **options):
+        raise error("math range error")
+
+    path = tmp_path / "field.qlf"
+    grid = ql.GridSpec(origin=[-1.0], extent=[2.0], cells=[32], time_start=-1.0, time_end=0.0)
+    ql.save_field(ql.profile_field(ql.ModelParams(p=3.0, n=1), grid, [-1.0, -0.5, 0.0],
+                                   "abs_x1"), path)
+    monkeypatch.setitem(ql.pipeline._HANDLERS, "rupture_dimension", fails)
+    assert cli_main([*command, "--field", str(path)]) == 3
+    assert capsys.readouterr().err == \
+        f"error: rupture_dimension failed: {error.__name__}('math range error')\n"
+
+
 def test_pipeline_writes_beside_stale_temp_names(tmp_path):
     out = tmp_path / "busy"
     (out / "report.json.tmp").mkdir(parents=True)
@@ -366,17 +385,6 @@ radii = [1.0, 0.5, 0.25]
                      "--op", "apriori_scaling", "--config", str(ini3)]) == 2
 
 
-def test_threaded_analyses_match_serial(tmp_path, monkeypatch):
-    out = tmp_path / "thr"
-    cfg = ql.parse_config_text(SYNTH.format(out=out))
-    ql.run_pipeline(cfg)
-    serial = (out / "report.json").read_bytes()
-    monkeypatch.setenv("QUENCHLAB_THREADS", "4")
-    ql.run_pipeline(cfg)
-    threaded = (out / "report.json").read_bytes()
-    assert serial == threaded
-
-
 def test_dimension_ladder_refuses_coarse_grid(tmp_path, capsys):
     # one octave between extent/4 and 4h: the op and the CLI both refuse
     # rather than fit a slope through radii below the grid's resolution
@@ -389,18 +397,6 @@ def test_dimension_ladder_refuses_coarse_grid(tmp_path, capsys):
     assert (block["status"], block["error_kind"]) == ("error", "UsageError")
     assert cli_main(["dimension", "--field", str(out / "field.qlf"), "--tau", "0.05"]) == 2
     assert "too coarse" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", ""])
-def test_bad_thread_count_rejected_before_acquisition(tmp_path, monkeypatch, raw):
-    out = tmp_path / "thr"
-    ini = tmp_path / "run.ini"
-    ini.write_text(SYNTH.format(out=out))
-    monkeypatch.setenv("QUENCHLAB_THREADS", raw)
-    with pytest.raises(UsageError, match="QUENCHLAB_THREADS"):
-        ql.run_pipeline(ql.parse_config_text(SYNTH.format(out=out)))
-    assert cli_main(["simulate", "--config", str(ini)]) == 2
-    assert not (out / "field.qlf").exists()
 
 
 def test_analyze_refuses_a_config_with_two_sections_for_the_op(tmp_path, capsys):

@@ -96,7 +96,7 @@ def test_vector_field_product_form_matches_a_difference_jacobian(n, kind):
     psi, grad_psi, p, div, c = Y.at(xs)
     assert c == (0.0 if kind == "coordinate_bump" else 1.0)
     assert np.array_equal(psi, bump.space.value(xs))
-    assert np.array_equal(p, p_of(xs))
+    assert np.array_equal(np.broadcast_to(p, xs.shape), p_of(xs))
     np.testing.assert_allclose(grad_psi, dpsi, rtol=0, atol=1e-6)
     np.testing.assert_allclose(div, np.trace(jac, axis1=-2, axis2=-1), rtol=0, atol=1e-6)
     dy = np.sum(p * v, -1) * np.sum(grad_psi * v, -1) + c * psi * np.sum(v * v, -1)
